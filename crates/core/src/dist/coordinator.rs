@@ -264,7 +264,11 @@ impl Coordinator {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let shared = Arc::clone(&self.shared);
-                    handlers.push(std::thread::spawn(move || handle_conn(stream, &shared)));
+                    let fault_scope = faults::scope();
+                    handlers.push(std::thread::spawn(move || {
+                        fault_scope.enter();
+                        handle_conn(stream, &shared)
+                    }));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) => return Err(CoreError::Io(e)),

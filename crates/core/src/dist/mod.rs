@@ -217,7 +217,11 @@ pub fn run_local(
                 slow_ms: cfg.worker_slow_ms,
                 ..WorkerOptions::default()
             };
-            std::thread::spawn(move || run_worker(&addr, &prepared, &opts))
+            let fault_scope = advcomp_nn::faults::scope();
+            std::thread::spawn(move || {
+                fault_scope.enter();
+                run_worker(&addr, &prepared, &opts)
+            })
         })
         .collect();
     let outcome = coordinator.run();

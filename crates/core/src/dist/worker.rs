@@ -177,7 +177,9 @@ fn compute_with_heartbeats(
         let (tx, rx) = mpsc::channel();
         let retry = opts.retry;
         let slow_ms = opts.slow_ms;
+        let fault_scope = faults::scope();
         s.spawn(move || {
+            fault_scope.enter();
             if slow_ms > 0 {
                 std::thread::sleep(Duration::from_millis(slow_ms));
             }

@@ -12,6 +12,7 @@
 //!   discard the hours of work behind the other points.
 
 use crate::resilience::RetryPolicy;
+use advcomp_nn::faults;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,15 +41,19 @@ where
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let queue: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let next = AtomicUsize::new(0);
+    let fault_scope = faults::scope();
     crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            scope.spawn(|_| {
+                fault_scope.enter();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let job = queue[i].lock().take().expect("each job taken once");
+                    *slots[i].lock() = Some(job());
                 }
-                let job = queue[i].lock().take().expect("each job taken once");
-                *slots[i].lock() = Some(job());
             });
         }
     })
@@ -153,14 +158,18 @@ where
     }
     let slots: Vec<Mutex<Option<SupervisedSlot<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    let fault_scope = faults::scope();
     crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            scope.spawn(|_| {
+                fault_scope.enter();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    *slots[i].lock() = Some(supervise(&jobs[i], retry));
                 }
-                *slots[i].lock() = Some(supervise(&jobs[i], retry));
             });
         }
     })

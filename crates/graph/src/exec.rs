@@ -39,7 +39,7 @@ use advcomp_tensor::{
     MatmulKernel, PackedGemmB, QActivations, QuantKind, Tensor, QK,
 };
 
-use crate::fuse::{fuse, BnFold, FusedOp, FusionStats, GemmUnit};
+use crate::fuse::{fuse, FusedOp, FusionStats, GemmUnit};
 use crate::ir::{lower, Act, GemmWeight};
 use crate::plan::{plan_arena, validate_no_alias, BufferLife, MemoryPlan};
 use crate::{GraphError, Result};
@@ -68,12 +68,11 @@ enum PlannedGemm {
     Packed { weights: QuantizedWeights },
 }
 
-/// Fused per-element epilogue of one GEMM: bias, optional batch-norm,
-/// optional activation, optional i8 code emission for the next layer.
+/// Fused per-element epilogue of one GEMM: bias, optional activation,
+/// optional i8 code emission for the next layer.
 #[derive(Debug)]
 struct EpilogueParams {
     bias: Vec<f32>,
-    bn: Option<BnFold>,
     act: Option<Act>,
     /// `(qbuf index, format)` — emit codes of the final value.
     emit: Option<(usize, QFormat)>,
@@ -103,7 +102,7 @@ enum Step {
         dst: usize,
         weight: usize,
     },
-    /// In-place bias/batch-norm/activation epilogue over GEMM rows.
+    /// In-place bias/activation epilogue over GEMM rows.
     Epilogue { buf: usize, cols: usize, epi: usize },
     /// Permute GEMM rows (`[m, oc]`) back to NCHW.
     RowsToNchw {
@@ -125,29 +124,10 @@ enum Step {
         kernel: usize,
         stride: usize,
     },
-    /// 2-D average pooling.
-    AvgPool {
-        src: Src,
-        dst: usize,
-        c: usize,
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        kernel: usize,
-        stride: usize,
-    },
     /// In-place elementwise activation.
     EltAct { buf: usize, act: Act },
     /// In-place simulated quantisation.
     EltQuantize { buf: usize, format: QFormat },
-    /// In-place standalone batch normalisation over `[n, c, hw]`.
-    EltBatchNorm {
-        buf: usize,
-        bn: usize,
-        c: usize,
-        hw: usize,
-    },
 }
 
 /// Compile-time builder state.
@@ -157,7 +137,6 @@ struct Builder {
     lives: Vec<BufferLife>,
     weights: Vec<PlannedGemm>,
     epilogues: Vec<EpilogueParams>,
-    bns: Vec<BnFold>,
     qbufs: Vec<QActivations>,
     /// Per-qbuf `(rows per sample, cols)` for pre-sizing.
     qbuf_dims: Vec<(usize, usize)>,
@@ -230,7 +209,6 @@ impl Builder {
     fn epilogue(&mut self, unit: &GemmUnit, emit: Option<(usize, QFormat)>) -> usize {
         self.epilogues.push(EpilogueParams {
             bias: unit.bias.clone(),
-            bn: unit.bn.clone(),
             act: unit.act,
             emit,
         });
@@ -260,11 +238,11 @@ fn split_pair(
 
 /// A compiled, statically memory-planned forward pass.
 ///
-/// Built once per model (serve replicas compile per generation, attacks
-/// per crafting run), then driven with [`ExecPlan::forward`] /
+/// Built once per model (serve workers compile per registry generation,
+/// attacks per crafting run), then driven with [`ExecPlan::forward`] /
 /// [`ExecPlan::forward_into`]. Training and backward stay on
-/// [`Sequential`] — the plan has no parameter gradients, caches or
-/// stochastic layers, which is exactly what lets it pre-plan memory.
+/// [`Sequential`] — the plan has no parameter gradients or caches, which
+/// is exactly what lets it pre-plan memory.
 #[derive(Debug)]
 pub struct ExecPlan {
     backend: KernelBackend,
@@ -273,7 +251,6 @@ pub struct ExecPlan {
     steps: Vec<Step>,
     weights: Vec<PlannedGemm>,
     epilogues: Vec<EpilogueParams>,
-    bns: Vec<BnFold>,
     qbufs: Vec<QActivations>,
     qbuf_dims: Vec<(usize, usize)>,
     /// High-water code length per qbuf, for allocation accounting.
@@ -295,7 +272,6 @@ impl ExecPlan {
     ///
     /// # Errors
     ///
-    /// [`GraphError::Unsupported`] when a layer has no lowering,
     /// [`GraphError::Shape`] when shapes are inconsistent.
     pub fn compile(model: &Sequential, input_shape: &[usize]) -> Result<ExecPlan> {
         ExecPlan::compile_with_backend(model, input_shape, simd::backend())
@@ -414,11 +390,7 @@ impl ExecPlan {
                         GemmWeight::Packed(q) => {
                             let weight = b.push_packed_weight(q);
                             let qbuf = if unit.consume_codes {
-                                cur_codes.ok_or_else(|| {
-                                    GraphError::Unsupported(
-                                        "int8 chain consumer without emitted codes".into(),
-                                    )
-                                })?
+                                cur_codes.expect("int8 chain consumer follows an emitting producer")
                             } else {
                                 let qbuf = b.qbuf(q.act_format(), 1, k)?;
                                 b.touch(cur);
@@ -465,51 +437,22 @@ impl ExecPlan {
                     cur = Src::Buf(buf);
                     cur_codes = None;
                 }
-                FusedOp::BatchNorm(fold) => {
-                    let buf = b.materialize(cur, cur_shape.iter().product());
-                    let bn = b.bns.len();
-                    b.bns.push(fold.clone());
-                    b.touch(Src::Buf(buf));
-                    b.steps.push(Step::EltBatchNorm {
-                        buf,
-                        bn,
-                        c: cur_shape[0],
-                        hw: cur_shape[1] * cur_shape[2],
-                    });
-                    cur = Src::Buf(buf);
-                    cur_codes = None;
-                }
-                FusedOp::MaxPool2d { kernel, stride } | FusedOp::AvgPool2d { kernel, stride } => {
+                FusedOp::MaxPool2d { kernel, stride } => {
                     let (c, h, w) = (cur_shape[0], cur_shape[1], cur_shape[2]);
                     let (oh, ow) = (out_shape[1], out_shape[2]);
                     b.touch(cur);
                     let dst = b.buf(c * oh * ow);
-                    let step = if matches!(op, FusedOp::MaxPool2d { .. }) {
-                        Step::MaxPool {
-                            src: cur,
-                            dst,
-                            c,
-                            h,
-                            w,
-                            oh,
-                            ow,
-                            kernel: *kernel,
-                            stride: *stride,
-                        }
-                    } else {
-                        Step::AvgPool {
-                            src: cur,
-                            dst,
-                            c,
-                            h,
-                            w,
-                            oh,
-                            ow,
-                            kernel: *kernel,
-                            stride: *stride,
-                        }
-                    };
-                    b.steps.push(step);
+                    b.steps.push(Step::MaxPool {
+                        src: cur,
+                        dst,
+                        c,
+                        h,
+                        w,
+                        oh,
+                        ow,
+                        kernel: *kernel,
+                        stride: *stride,
+                    });
                     cur = Src::Buf(dst);
                     cur_shape = out_shape.clone();
                     cur_codes = None;
@@ -535,7 +478,6 @@ impl ExecPlan {
             steps: b.steps,
             weights: b.weights,
             epilogues: b.epilogues,
-            bns: b.bns,
             qbufs: b.qbufs,
             qbuf_dims: b.qbuf_dims,
             qbuf_hw,
@@ -584,7 +526,6 @@ impl ExecPlan {
             steps,
             weights,
             epilogues,
-            bns,
             qbufs,
             qbuf_hw,
             sizes,
@@ -670,10 +611,6 @@ impl ExecPlan {
                         let out_row = &mut dst[row * cols..(row + 1) * cols];
                         for (j, v) in out_row.iter_mut().enumerate() {
                             let mut y = *v + params.bias[j];
-                            if let Some(bn) = &params.bn {
-                                let norm = (y - bn.mean[j]) * bn.inv_std[j];
-                                y = bn.gamma[j] * norm + bn.beta[j];
-                            }
                             if let Some(act) = params.act {
                                 y = act.apply(y);
                             }
@@ -731,40 +668,6 @@ impl ExecPlan {
                         }
                     }
                 }
-                Step::AvgPool {
-                    src,
-                    dst,
-                    c,
-                    h,
-                    w,
-                    oh,
-                    ow,
-                    kernel,
-                    stride,
-                } => {
-                    let (sl, dl): (&[f32], &mut [f32]) = match src {
-                        Src::Input => (input_data, &mut arena[rng(*dst)]),
-                        Src::Buf(s) => split_pair(arena, rng(*s), rng(*dst)),
-                    };
-                    let norm = 1.0 / (kernel * kernel) as f32;
-                    for b in 0..n {
-                        for ch in 0..*c {
-                            let plane = (b * c + ch) * h * w;
-                            for oy in 0..*oh {
-                                for ox in 0..*ow {
-                                    let mut acc = 0.0f32;
-                                    for ky in 0..*kernel {
-                                        let row = plane + (oy * stride + ky) * w + ox * stride;
-                                        for kx in 0..*kernel {
-                                            acc += sl[row + kx];
-                                        }
-                                    }
-                                    dl[((b * c + ch) * oh + oy) * ow + ox] = acc * norm;
-                                }
-                            }
-                        }
-                    }
-                }
                 Step::EltAct { buf, act } => {
                     for v in &mut arena[rng(*buf)] {
                         *v = act.apply(*v);
@@ -773,21 +676,6 @@ impl ExecPlan {
                 Step::EltQuantize { buf, format } => {
                     for v in &mut arena[rng(*buf)] {
                         *v = format.quantize(*v);
-                    }
-                }
-                Step::EltBatchNorm { buf, bn, c, hw } => {
-                    let p = &bns[*bn];
-                    let dl = &mut arena[rng(*buf)];
-                    for b in 0..n {
-                        for ch in 0..*c {
-                            let base = (b * c + ch) * hw;
-                            let g = p.gamma[ch];
-                            let be = p.beta[ch];
-                            for v in &mut dl[base..base + hw] {
-                                let norm = (*v - p.mean[ch]) * p.inv_std[ch];
-                                *v = g * norm + be;
-                            }
-                        }
                     }
                 }
             }

@@ -12,13 +12,12 @@
 //!    monotone quantiser — the pooled *value* is the quantised max either
 //!    way) and `Flatten` (a permutation). Zero padding introduced by
 //!    im2col is covered because `encode(0) == 0`.
-//! 2. **Pattern fusion.** `Conv2d [+ BatchNorm] [+ Act]` and
-//!    `Dense [+ Act]` collapse into single GEMM units whose epilogue
-//!    applies bias, normalisation and activation per element while the
-//!    output rows are still hot. The epilogue runs in the GEMM's
-//!    rows layout (`[m, oc]`, channel = column), which commutes with the
-//!    later rows→NCHW permutation, so fused arithmetic is bit-identical
-//!    to the layer-at-a-time chain.
+//! 2. **Pattern fusion.** `Conv2d [+ Act]` and `Dense [+ Act]` collapse
+//!    into single GEMM units whose epilogue applies bias and activation
+//!    per element while the output rows are still hot. The epilogue runs
+//!    in the GEMM's rows layout (`[m, oc]`, channel = column), which
+//!    commutes with the later rows→NCHW permutation, so fused arithmetic
+//!    is bit-identical to the layer-at-a-time chain.
 //! 3. **Int8 chaining.** For adjacent `Dense → Dense(packed)` pairs the
 //!    producer's epilogue additionally emits the consumer's i8 activation
 //!    codes (`F.encode(y)` on the final f32 value — exactly what the
@@ -36,30 +35,14 @@ use crate::ir::{Act, GemmWeight, Graph, Node, Op};
 pub struct FusionStats {
     /// `Quantize` nodes elided into a downstream packed GEMM.
     pub elided_quantize: usize,
-    /// Conv2d nodes that absorbed a following BatchNorm.
-    pub fused_conv_bn: usize,
     /// Conv2d nodes that absorbed a following activation.
     pub fused_conv_act: usize,
     /// Dense nodes that absorbed a following activation.
     pub fused_dense_act: usize,
     /// Dense→Dense links exchanging int8 activations directly.
     pub int8_chain_links: usize,
-    /// Identity layers dropped at lowering (`Dropout`, disabled
-    /// `FakeQuant`).
+    /// Identity layers dropped at lowering (disabled `FakeQuant`).
     pub dropped_identity: usize,
-}
-
-/// Per-channel batch-norm fold applied in a GEMM epilogue.
-#[derive(Debug, Clone)]
-pub struct BnFold {
-    /// Per-channel scale.
-    pub gamma: Vec<f32>,
-    /// Per-channel shift.
-    pub beta: Vec<f32>,
-    /// Running mean.
-    pub mean: Vec<f32>,
-    /// `1 / sqrt(running_var + eps)`, precomputed at lowering.
-    pub inv_std: Vec<f32>,
 }
 
 /// A GEMM with its fused epilogue.
@@ -69,8 +52,6 @@ pub struct GemmUnit {
     pub weight: GemmWeight,
     /// Bias added per output column.
     pub bias: Vec<f32>,
-    /// Folded batch normalisation (convolutions only).
-    pub bn: Option<BnFold>,
     /// Fused elementwise activation.
     pub act: Option<Act>,
     /// When set, the epilogue also emits i8 codes of the final value in
@@ -86,7 +67,6 @@ impl GemmUnit {
         GemmUnit {
             weight,
             bias,
-            bn: None,
             act: None,
             emit_codes: None,
             consume_codes: false,
@@ -115,17 +95,8 @@ pub enum FusedOp {
     },
     /// Standalone elementwise activation (nothing to fuse into).
     Activation(Act),
-    /// Standalone batch normalisation.
-    BatchNorm(BnFold),
     /// 2-D max pooling.
     MaxPool2d {
-        /// Window edge.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-    },
-    /// 2-D average pooling.
-    AvgPool2d {
         /// Window edge.
         kernel: usize,
         /// Stride.
@@ -145,9 +116,7 @@ impl FusedOp {
             FusedOp::Conv2d { .. } => "conv2d",
             FusedOp::Dense { .. } => "dense",
             FusedOp::Activation(_) => "activation",
-            FusedOp::BatchNorm(_) => "batchnorm",
             FusedOp::MaxPool2d { .. } => "maxpool2d",
-            FusedOp::AvgPool2d { .. } => "avgpool2d",
             FusedOp::Flatten => "flatten",
             FusedOp::Quantize(_) => "quantize",
         }
@@ -206,11 +175,24 @@ fn elide_quantize(nodes: &mut Vec<Node>) -> usize {
 /// Pass 2: collapse GEMM + epilogue patterns.
 fn fuse_patterns(nodes: Vec<Node>, stats: &mut FusionStats) -> Vec<(FusedOp, Vec<usize>)> {
     let mut ops = Vec::with_capacity(nodes.len());
-    let mut i = 0;
-    while i < nodes.len() {
-        let node = nodes[i].clone();
-        let mut shape = node.out_shape;
-        match node.op {
+    let mut nodes = nodes.into_iter().peekable();
+    while let Some(Node { op, mut out_shape }) = nodes.next() {
+        // Moves a directly following activation into `unit`'s epilogue.
+        let mut absorb_act = |unit: &mut GemmUnit, out_shape: &mut Vec<usize>| {
+            let next = nodes.next_if(|n| matches!(n.op, Op::Activation(_)));
+            if let Some(Node {
+                op: Op::Activation(act),
+                out_shape: shape,
+            }) = next
+            {
+                unit.act = Some(act);
+                *out_shape = shape;
+                true
+            } else {
+                false
+            }
+        };
+        let op = match op {
             Op::Conv2d {
                 weight,
                 bias,
@@ -219,86 +201,29 @@ fn fuse_patterns(nodes: Vec<Node>, stats: &mut FusionStats) -> Vec<(FusedOp, Vec
                 padding,
             } => {
                 let mut unit = GemmUnit::new(weight, bias);
-                if let Some(Node {
-                    op:
-                        Op::BatchNorm {
-                            gamma,
-                            beta,
-                            mean,
-                            inv_std,
-                        },
-                    out_shape,
-                }) = nodes.get(i + 1).cloned()
-                {
-                    unit.bn = Some(BnFold {
-                        gamma,
-                        beta,
-                        mean,
-                        inv_std,
-                    });
-                    shape = out_shape;
-                    stats.fused_conv_bn += 1;
-                    i += 1;
-                }
-                if let Some(Node {
-                    op: Op::Activation(act),
-                    out_shape,
-                }) = nodes.get(i + 1).cloned()
-                {
-                    unit.act = Some(act);
-                    shape = out_shape;
+                if absorb_act(&mut unit, &mut out_shape) {
                     stats.fused_conv_act += 1;
-                    i += 1;
                 }
-                ops.push((
-                    FusedOp::Conv2d {
-                        unit,
-                        kernel,
-                        stride,
-                        padding,
-                    },
-                    shape,
-                ));
+                FusedOp::Conv2d {
+                    unit,
+                    kernel,
+                    stride,
+                    padding,
+                }
             }
             Op::Dense { weight, bias } => {
                 let mut unit = GemmUnit::new(weight, bias);
-                if let Some(Node {
-                    op: Op::Activation(act),
-                    out_shape,
-                }) = nodes.get(i + 1).cloned()
-                {
-                    unit.act = Some(act);
-                    shape = out_shape;
+                if absorb_act(&mut unit, &mut out_shape) {
                     stats.fused_dense_act += 1;
-                    i += 1;
                 }
-                ops.push((FusedOp::Dense { unit }, shape));
+                FusedOp::Dense { unit }
             }
-            Op::BatchNorm {
-                gamma,
-                beta,
-                mean,
-                inv_std,
-            } => ops.push((
-                FusedOp::BatchNorm(BnFold {
-                    gamma,
-                    beta,
-                    mean,
-                    inv_std,
-                }),
-                shape,
-            )),
-            Op::Activation(act) => ops.push((FusedOp::Activation(act), shape)),
-            Op::MaxPool2d { kernel, stride } => {
-                ops.push((FusedOp::MaxPool2d { kernel, stride }, shape))
-            }
-            Op::AvgPool2d { kernel, stride } => {
-                ops.push((FusedOp::AvgPool2d { kernel, stride }, shape))
-            }
-            Op::Flatten => ops.push((FusedOp::Flatten, shape)),
-            Op::Quantize(format) => ops.push((FusedOp::Quantize(format), shape)),
-        }
-        i += 1;
+            Op::Activation(act) => FusedOp::Activation(act),
+            Op::MaxPool2d { kernel, stride } => FusedOp::MaxPool2d { kernel, stride },
+            Op::Flatten => FusedOp::Flatten,
+            Op::Quantize(format) => FusedOp::Quantize(format),
+        };
+        ops.push((op, out_shape));
     }
     ops
 }

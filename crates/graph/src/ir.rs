@@ -8,9 +8,9 @@
 //!
 //! Lowering copies weights out of the layers: dense f32 weights are
 //! reshaped to the `[out, k]` GEMM layout, packed (frozen) weights share
-//! their `Arc`'d blocks with the source model. Layers that are identities
-//! in inference — `Dropout`, and `FakeQuant` with no installed format —
-//! are dropped here and counted in [`Graph::dropped_identity`].
+//! their `Arc`'d blocks with the source model. `FakeQuant` with no
+//! installed format is an inference identity; it is dropped here and
+//! counted in [`Graph::dropped_identity`].
 
 use advcomp_nn::{LayerSpec, QuantizedWeights, Sequential, WeightRepr};
 use advcomp_qformat::QFormat;
@@ -23,28 +23,15 @@ use crate::{GraphError, Result};
 pub enum Act {
     /// `max(0, x)`.
     Relu,
-    /// `tanh(x)`.
-    Tanh,
-    /// Numerically-stable logistic sigmoid.
-    Sigmoid,
 }
 
 impl Act {
     /// Applies the activation to one value, with arithmetic identical to
     /// the corresponding `advcomp-nn` layer (`Relu` matches the slice
-    /// kernel's `v.max(0.0)`, `Sigmoid` uses the same stable split).
+    /// kernel's `v.max(0.0)`).
     pub fn apply(self, v: f32) -> f32 {
         match self {
             Act::Relu => v.max(0.0),
-            Act::Tanh => v.tanh(),
-            Act::Sigmoid => {
-                if v >= 0.0 {
-                    1.0 / (1.0 + (-v).exp())
-                } else {
-                    let e = v.exp();
-                    e / (1.0 + e)
-                }
-            }
         }
     }
 
@@ -52,8 +39,6 @@ impl Act {
     pub fn name(self) -> &'static str {
         match self {
             Act::Relu => "relu",
-            Act::Tanh => "tanh",
-            Act::Sigmoid => "sigmoid",
         }
     }
 }
@@ -120,30 +105,10 @@ pub enum Op {
         /// Bias, `[out]`.
         bias: Vec<f32>,
     },
-    /// Inference batch normalisation over running statistics.
-    /// `inv_std[c] = 1 / sqrt(running_var[c] + eps)` is precomputed with
-    /// the exact arithmetic of the eval-mode layer.
-    BatchNorm {
-        /// Per-channel scale.
-        gamma: Vec<f32>,
-        /// Per-channel shift.
-        beta: Vec<f32>,
-        /// Running mean.
-        mean: Vec<f32>,
-        /// Precomputed reciprocal standard deviation.
-        inv_std: Vec<f32>,
-    },
     /// Elementwise activation.
     Activation(Act),
     /// 2-D max pooling (square window, no padding).
     MaxPool2d {
-        /// Window edge.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-    },
-    /// 2-D average pooling (square window, no padding).
-    AvgPool2d {
         /// Window edge.
         kernel: usize,
         /// Stride.
@@ -162,10 +127,8 @@ impl Op {
         match self {
             Op::Conv2d { .. } => "conv2d",
             Op::Dense { .. } => "dense",
-            Op::BatchNorm { .. } => "batchnorm",
             Op::Activation(_) => "activation",
             Op::MaxPool2d { .. } => "maxpool2d",
-            Op::AvgPool2d { .. } => "avgpool2d",
             Op::Flatten => "flatten",
             Op::Quantize(_) => "quantize",
         }
@@ -190,7 +153,7 @@ pub struct Graph {
     /// (node 0 consumes the graph input).
     pub nodes: Vec<Node>,
     /// Layers dropped at lowering because they are inference identities
-    /// (`Dropout`, disabled `FakeQuant`).
+    /// (disabled `FakeQuant`).
     pub dropped_identity: usize,
 }
 
@@ -294,15 +257,6 @@ pub fn infer_shape(op: &Op, in_shape: &[usize]) -> Result<Vec<usize>> {
             }
             Ok(vec![out])
         }
-        Op::BatchNorm { gamma, .. } => {
-            if in_shape.len() != 3 || in_shape[0] != gamma.len() {
-                return Err(GraphError::Shape(format!(
-                    "batchnorm over {} channels fed {in_shape:?}",
-                    gamma.len()
-                )));
-            }
-            Ok(in_shape.to_vec())
-        }
         Op::Activation(_) | Op::Quantize(_) => Ok(in_shape.to_vec()),
         Op::MaxPool2d { kernel, stride } => {
             if in_shape.len() != 3 {
@@ -311,15 +265,6 @@ pub fn infer_shape(op: &Op, in_shape: &[usize]) -> Result<Vec<usize>> {
                 )));
             }
             let (oh, ow) = pool_out(in_shape[1], in_shape[2], *kernel, *stride, "maxpool2d")?;
-            Ok(vec![in_shape[0], oh, ow])
-        }
-        Op::AvgPool2d { kernel, stride } => {
-            if in_shape.len() != 3 {
-                return Err(GraphError::Shape(format!(
-                    "avgpool2d expects [c, h, w], got {in_shape:?}"
-                )));
-            }
-            let (oh, ow) = pool_out(in_shape[1], in_shape[2], *kernel, *stride, "avgpool2d")?;
             Ok(vec![in_shape[0], oh, ow])
         }
         Op::Flatten => Ok(vec![in_shape.iter().product()]),
@@ -361,15 +306,14 @@ fn lower_weight(repr: &WeightRepr<'_>, gemm_rows: Option<usize>) -> Result<GemmW
 /// Lowers a [`Sequential`] into a [`Graph`], inferring per-sample shapes.
 ///
 /// `input_shape` is the per-sample shape (e.g. `[1, 28, 28]` for MNIST —
-/// no batch dimension). Inference identities (`Dropout`, `FakeQuant` with
-/// no format) are dropped. Layers reporting [`LayerSpec::Opaque`] abort
-/// the lowering: a compiler that silently skipped an unknown layer would
-/// diverge from the model it claims to replicate.
+/// no batch dimension). Inference identities (`FakeQuant` with no format)
+/// are dropped. Every layer reports a [`LayerSpec`], so lowering fails
+/// only on shapes.
 ///
 /// # Errors
 ///
-/// [`GraphError::Unsupported`] for opaque layers, [`GraphError::Shape`]
-/// when a layer cannot accept its inferred input shape.
+/// [`GraphError::Shape`] when a layer cannot accept its inferred input
+/// shape, or when the model lowers to an empty graph.
 pub fn lower(model: &Sequential, input_shape: &[usize]) -> Result<Graph> {
     check_shape(input_shape, "input")?;
     let mut nodes = Vec::with_capacity(model.len());
@@ -397,31 +341,9 @@ pub fn lower(model: &Sequential, input_shape: &[usize]) -> Result<Graph> {
                 weight: lower_weight(&weight, None)?,
                 bias: bias.data().to_vec(),
             },
-            LayerSpec::BatchNorm2d {
-                gamma,
-                beta,
-                running_mean,
-                running_var,
-                eps,
-            } => Op::BatchNorm {
-                gamma: gamma.to_vec(),
-                beta: beta.to_vec(),
-                mean: running_mean.to_vec(),
-                inv_std: running_var
-                    .iter()
-                    .map(|&v| 1.0 / (v + eps).sqrt())
-                    .collect(),
-            },
             LayerSpec::Relu => Op::Activation(Act::Relu),
-            LayerSpec::Tanh => Op::Activation(Act::Tanh),
-            LayerSpec::Sigmoid => Op::Activation(Act::Sigmoid),
             LayerSpec::MaxPool2d { kernel, stride } => Op::MaxPool2d { kernel, stride },
-            LayerSpec::AvgPool2d { kernel, stride } => Op::AvgPool2d { kernel, stride },
             LayerSpec::Flatten => Op::Flatten,
-            LayerSpec::Dropout => {
-                dropped += 1;
-                continue;
-            }
             LayerSpec::FakeQuant { format: None } => {
                 dropped += 1;
                 continue;
@@ -429,12 +351,6 @@ pub fn lower(model: &Sequential, input_shape: &[usize]) -> Result<Graph> {
             LayerSpec::FakeQuant {
                 format: Some(format),
             } => Op::Quantize(format),
-            LayerSpec::Opaque => {
-                return Err(GraphError::Unsupported(format!(
-                    "layer '{}' reports no lowering (LayerSpec::Opaque)",
-                    layer.kind()
-                )));
-            }
         };
         let out_shape = infer_shape(&op, &cur)?;
         check_shape(&out_shape, op.name())?;
@@ -445,9 +361,7 @@ pub fn lower(model: &Sequential, input_shape: &[usize]) -> Result<Graph> {
         cur = out_shape;
     }
     if nodes.is_empty() {
-        return Err(GraphError::Unsupported(
-            "model lowers to an empty graph".into(),
-        ));
+        return Err(GraphError::Shape("model lowers to an empty graph".into()));
     }
     Ok(Graph {
         input_shape: input_shape.to_vec(),
@@ -459,7 +373,7 @@ pub fn lower(model: &Sequential, input_shape: &[usize]) -> Result<Graph> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use advcomp_nn::{Conv2d, Dense, Dropout, FakeQuant, Flatten, MaxPool2d, Relu, Sequential};
+    use advcomp_nn::{Conv2d, Dense, FakeQuant, Flatten, MaxPool2d, Relu, Sequential};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -470,7 +384,7 @@ mod tests {
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2, 2)),
             Box::new(Flatten::new()),
-            Box::new(Dropout::new(0.5, 1)),
+            Box::new(FakeQuant::new()),
             Box::new(Dense::new(4 * 4 * 4, 3, &mut rng)),
         ])
     }

@@ -12,8 +12,8 @@
 //!   [`Sequential`](advcomp_nn::Sequential) via
 //!   [`LayerSpec`](advcomp_nn::LayerSpec), with per-sample shape
 //!   inference;
-//! * [`fuse`] — pattern fusion (`Conv2d+BatchNorm+Relu`,
-//!   `Dense+bias+activation`), quant→dequant elision, and int8 chaining
+//! * [`fuse`] — pattern fusion (`Conv2d+bias+Relu`,
+//!   `Dense+bias+Relu`), quant→dequant elision, and int8 chaining
 //!   so adjacent packed layers exchange i8 codes without an f32 round
 //!   trip;
 //! * [`plan`] — liveness analysis and greedy first-fit arena planning
@@ -23,11 +23,14 @@
 //!   into the exact `advcomp-tensor` kernels the layers use so results
 //!   are bit-identical to `Sequential::forward`.
 //!
+//! Every layer `advcomp-nn` ships reports a
+//! [`LayerSpec`](advcomp_nn::LayerSpec), so compilation fails only on
+//! shapes ([`GraphError::Shape`]).
+//!
 //! Backward is deliberately out of scope: training needs per-layer
-//! caches, parameter gradients and stochastic layers, which defeat static
-//! planning. The serving engine and attack evaluation loops run compiled
-//! plans; training and gradient-based crafting keep the `Sequential`
-//! path.
+//! caches and parameter gradients, which defeat static planning. The
+//! serving engine and attack evaluation loops run compiled plans;
+//! training and gradient-based crafting keep the `Sequential` path.
 //!
 //! # Example
 //!
@@ -59,7 +62,7 @@ pub mod ir;
 pub mod plan;
 
 pub use exec::ExecPlan;
-pub use fuse::{fuse, BnFold, FusedGraph, FusedOp, FusionStats, GemmUnit};
+pub use fuse::{fuse, FusedGraph, FusedOp, FusionStats, GemmUnit};
 pub use ir::{infer_shape, lower, Act, GemmWeight, Graph, Node, Op};
 pub use plan::{plan_arena, validate_no_alias, BufferLife, MemoryPlan};
 
@@ -68,8 +71,6 @@ use advcomp_tensor::TensorError;
 /// Errors from lowering, planning or executing a graph.
 #[derive(Debug)]
 pub enum GraphError {
-    /// The model contains a construct the compiler has no lowering for.
-    Unsupported(String),
     /// Shapes are inconsistent (at compile or forward time).
     Shape(String),
     /// A tensor kernel failed.
@@ -79,7 +80,6 @@ pub enum GraphError {
 impl std::fmt::Display for GraphError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            GraphError::Unsupported(msg) => write!(f, "unsupported model construct: {msg}"),
             GraphError::Shape(msg) => write!(f, "shape error: {msg}"),
             GraphError::Tensor(e) => write!(f, "tensor error: {e}"),
         }

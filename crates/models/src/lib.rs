@@ -20,6 +20,6 @@ mod builders;
 mod checkpoint;
 mod crc32;
 
-pub use builders::{cifarnet, lenet5, lenet5_classic, mlp, ModelKind};
+pub use builders::{cifarnet, lenet5, mlp, ModelKind};
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use crc32::crc32;

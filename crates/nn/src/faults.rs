@@ -8,7 +8,7 @@
 //! supervised runner, health guards and journal in `advcomp-core`) can be
 //! proven end to end rather than trusted.
 //!
-//! Faults come from two sources, merged into one process-global registry:
+//! Faults come from two sources:
 //!
 //! * the `ADVCOMP_FAULTS` environment variable, parsed once on first use —
 //!   a `;`/`,`-separated list of `kind:site:hit[:sticky]` specs, e.g.
@@ -17,9 +17,14 @@
 //!   `train_step` with NaN. `kind` is one of `panic`, `nan`, `io`, `error`;
 //!   `hit` is the 0-based invocation index; a trailing `:sticky` makes the
 //!   fault fire on every invocation from `hit` onwards instead of once.
-//! * programmatic [`install`]/[`FaultGuard`] for tests, which also
-//!   serialises fault-using tests against each other (the registry is
-//!   process-global, so concurrent tests would otherwise race).
+//!   Environment faults are process-wide.
+//! * programmatic [`install`]/[`FaultGuard`] for tests. Installed faults
+//!   are **scoped**: they fire only on the installing thread and on
+//!   threads that enter its [`Scope`] token, with their own invocation
+//!   counters. Every thread spawn on a path with fault sites (serve
+//!   workers and event loops, sweep and dist workers) hands the spawner's
+//!   [`scope`] to the new thread, so a test's faults reach that test's
+//!   workers and no concurrently running test sees them.
 //!
 //! Sites live where the failure would naturally occur: this crate only
 //! defines the registry; `advcomp-attacks`, `advcomp-compress` and
@@ -27,8 +32,9 @@
 //! site is two atomic loads when no fault targets it, so production runs
 //! (no `ADVCOMP_FAULTS`, nothing installed) pay essentially nothing.
 
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// What an armed fault does when its site fires.
@@ -112,14 +118,15 @@ impl FaultSpec {
     }
 }
 
+/// One set of armed faults with its own invocation counters.
 #[derive(Debug, Default)]
-struct Registry {
+struct Armed {
     specs: Vec<FaultSpec>,
     /// Invocation counters, one per site name.
     counters: HashMap<String, u64>,
 }
 
-impl Registry {
+impl Armed {
     /// Counts one invocation of `site` and reports the fault to fire, if any.
     fn fire(&mut self, site: &str) -> Option<FaultKind> {
         let n = self.counters.entry(site.to_string()).or_insert(0);
@@ -132,21 +139,44 @@ impl Registry {
     }
 }
 
+#[derive(Debug, Default)]
+struct Registry {
+    /// Process-wide faults from `ADVCOMP_FAULTS`; they fire on threads
+    /// outside any installed scope.
+    env: Armed,
+    /// Faults installed by live [`FaultGuard`]s, keyed by scope id.
+    scopes: HashMap<u64, Armed>,
+}
+
+impl Registry {
+    fn rearm(&self) {
+        let armed = !self.env.specs.is_empty() || !self.scopes.is_empty();
+        ARMED.store(armed, Ordering::Relaxed);
+    }
+}
+
 /// Fast path: set iff any fault is armed (env or installed). Lets every
 /// site probe bail with one relaxed load when injection is off.
 static ARMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// The scope this thread's fault probes consult; 0 is no scope.
+    static SCOPE: Cell<u64> = const { Cell::new(0) };
+}
 
 fn registry() -> &'static Mutex<Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
         let specs = parse_env(std::env::var("ADVCOMP_FAULTS").ok().as_deref());
-        if !specs.is_empty() {
-            ARMED.store(true, Ordering::Relaxed);
-        }
-        Mutex::new(Registry {
-            specs,
-            counters: HashMap::new(),
-        })
+        let reg = Registry {
+            env: Armed {
+                specs,
+                counters: HashMap::new(),
+            },
+            scopes: HashMap::new(),
+        };
+        reg.rearm();
+        Mutex::new(reg)
     })
 }
 
@@ -184,7 +214,12 @@ pub fn fire(site: &str) -> Option<FaultKind> {
     if !ARMED.load(Ordering::Relaxed) {
         return None;
     }
-    lock().fire(site)
+    let scope = SCOPE.with(Cell::get);
+    let mut reg = lock();
+    match reg.scopes.get_mut(&scope) {
+        Some(armed) => armed.fire(site),
+        None => reg.env.fire(site),
+    }
 }
 
 /// Panics (with a recognisable message) if a `panic` fault fires at `site`.
@@ -223,52 +258,62 @@ pub fn should_error(site: &str) -> bool {
     fire(site) == Some(FaultKind::Error)
 }
 
-/// Serialises tests that install faults; held (transitively) by
-/// [`FaultGuard`] so two fault-driven tests never interleave.
-fn test_lock() -> &'static Mutex<()> {
-    static TEST_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    TEST_LOCK.get_or_init(|| Mutex::new(()))
+/// A thread's fault scope, as a token to hand to the threads it spawns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scope(u64);
+
+/// The calling thread's fault scope. Capture it before spawning a thread
+/// that runs fault sites and [`Scope::enter`] it first thing in that
+/// thread.
+pub fn scope() -> Scope {
+    Scope(SCOPE.with(Cell::get))
 }
 
-/// Exclusive hold on the fault registry for the lifetime of a test. The
-/// installed specs are cleared (and invocation counters reset) on drop.
+impl Scope {
+    /// Makes the calling thread probe this scope's faults.
+    pub fn enter(self) {
+        SCOPE.with(|s| s.set(self.0));
+    }
+}
+
+/// Live hold on a set of installed faults. The faults are removed, and
+/// the installing thread returns to its previous scope, on drop.
 #[must_use = "faults are cleared when the guard drops"]
 pub struct FaultGuard {
-    _exclusive: MutexGuard<'static, ()>,
+    id: u64,
+    previous: Scope,
 }
 
-/// Installs `specs` for the duration of the returned guard, replacing any
-/// environment-armed faults, and resets all invocation counters. Tests use
-/// this instead of `ADVCOMP_FAULTS` so they compose under the parallel
-/// test runner; the guard serialises fault-using tests process-wide.
+/// Installs `specs` in a fresh scope for the duration of the returned
+/// guard and enters that scope on the calling thread. Within the scope the
+/// specs replace any environment-armed faults and count invocations from
+/// zero; threads outside it never see them, so fault-driven tests run in
+/// parallel with every other test.
 pub fn install(specs: Vec<FaultSpec>) -> FaultGuard {
-    let exclusive = match test_lock().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    let id = NEXT.fetch_add(1, Ordering::Relaxed);
     {
         let mut reg = lock();
-        reg.specs = specs;
-        reg.counters.clear();
+        reg.scopes.insert(
+            id,
+            Armed {
+                specs,
+                counters: HashMap::new(),
+            },
+        );
+        reg.rearm();
     }
-    ARMED.store(true, Ordering::Relaxed);
-    FaultGuard {
-        _exclusive: exclusive,
-    }
+    let previous = scope();
+    Scope(id).enter();
+    FaultGuard { id, previous }
 }
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
         let mut reg = lock();
-        reg.specs.clear();
-        reg.counters.clear();
-        // Leave ARMED set only if the environment armed faults at startup;
-        // re-deriving it from the env keeps a dropped guard from disabling
-        // env-driven injection in the same process.
-        let env_specs = parse_env(std::env::var("ADVCOMP_FAULTS").ok().as_deref());
-        let still_armed = !env_specs.is_empty();
-        reg.specs = env_specs;
-        ARMED.store(still_armed, Ordering::Relaxed);
+        reg.scopes.remove(&self.id);
+        reg.rearm();
+        self.previous.enter();
     }
 }
 
@@ -350,5 +395,22 @@ mod tests {
         }
         let _g2 = install(vec![]);
         assert!(!should_error("g"));
+    }
+
+    #[test]
+    fn installed_faults_reach_only_threads_in_scope() {
+        let _g = install(vec![FaultSpec::sticky(FaultKind::Error, "scoped", 0)]);
+        let inherited = scope();
+        let (inside, outside) = std::thread::scope(|s| {
+            let inside = s.spawn(move || {
+                inherited.enter();
+                should_error("scoped")
+            });
+            let outside = s.spawn(|| should_error("scoped"));
+            (inside.join().unwrap(), outside.join().unwrap())
+        });
+        assert!(inside, "a thread entering the scope sees its faults");
+        assert!(!outside, "a thread outside the scope never does");
+        assert!(should_error("scoped"));
     }
 }

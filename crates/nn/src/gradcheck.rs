@@ -21,35 +21,14 @@ pub fn finite_diff_input_grad(
     labels: &[usize],
     eps: f32,
 ) -> Result<Tensor> {
-    finite_diff_input_grad_with_mode(net, x, labels, eps, Mode::Eval)
-}
-
-/// Numerically estimates `dLoss/dInput` under an explicit forward [`Mode`].
-///
-/// Train mode is needed to check layers whose forward pass differs between
-/// modes — BatchNorm normalises with batch statistics only in
-/// [`Mode::Train`]. Only deterministic train-mode layers can be checked
-/// this way (Dropout resamples its mask per forward, so its perturbed
-/// losses are not differentiable samples of one function).
-///
-/// # Errors
-///
-/// Propagates forward/loss errors.
-pub fn finite_diff_input_grad_with_mode(
-    net: &mut Sequential,
-    x: &Tensor,
-    labels: &[usize],
-    eps: f32,
-    mode: Mode,
-) -> Result<Tensor> {
     let mut grad = Tensor::zeros(x.shape());
     for i in 0..x.len() {
         let mut xp = x.clone();
         xp.data_mut()[i] += eps;
-        let lp = loss_of(net, &xp, labels, mode)?;
+        let lp = loss_of(net, &xp, labels)?;
         let mut xm = x.clone();
         xm.data_mut()[i] -= eps;
-        let lm = loss_of(net, &xm, labels, mode)?;
+        let lm = loss_of(net, &xm, labels)?;
         grad.data_mut()[i] = (lp - lm) / (2.0 * eps);
     }
     Ok(grad)
@@ -68,24 +47,6 @@ pub fn finite_diff_param_grad(
     labels: &[usize],
     param_name: &str,
     eps: f32,
-) -> Result<Tensor> {
-    finite_diff_param_grad_with_mode(net, x, labels, param_name, eps, Mode::Eval)
-}
-
-/// Numerically estimates `dLoss/dParam` under an explicit forward [`Mode`]
-/// (see [`finite_diff_input_grad_with_mode`] for when that matters).
-///
-/// # Errors
-///
-/// Returns [`NnError::InvalidConfig`] when the parameter name is unknown,
-/// plus forward/loss errors.
-pub fn finite_diff_param_grad_with_mode(
-    net: &mut Sequential,
-    x: &Tensor,
-    labels: &[usize],
-    param_name: &str,
-    eps: f32,
-    mode: Mode,
 ) -> Result<Tensor> {
     let n = {
         let p = net
@@ -106,12 +67,12 @@ pub fn finite_diff_param_grad_with_mode(
             .expect("checked above")
             .value
             .data_mut()[i] = original + eps;
-        let lp = loss_of(net, x, labels, mode)?;
+        let lp = loss_of(net, x, labels)?;
         net.param_mut(param_name)
             .expect("checked above")
             .value
             .data_mut()[i] = original - eps;
-        let lm = loss_of(net, x, labels, mode)?;
+        let lm = loss_of(net, x, labels)?;
         net.param_mut(param_name)
             .expect("checked above")
             .value
@@ -121,8 +82,8 @@ pub fn finite_diff_param_grad_with_mode(
     Ok(grad)
 }
 
-fn loss_of(net: &mut Sequential, x: &Tensor, labels: &[usize], mode: Mode) -> Result<f32> {
-    let logits = net.forward(x, mode)?;
+fn loss_of(net: &mut Sequential, x: &Tensor, labels: &[usize]) -> Result<f32> {
+    let logits = net.forward(x, Mode::Eval)?;
     Ok(softmax_cross_entropy(&logits, labels)?.loss)
 }
 

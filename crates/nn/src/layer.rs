@@ -6,15 +6,16 @@ use advcomp_tensor::Tensor;
 
 /// Whether a forward pass is part of training or evaluation.
 ///
-/// Training mode enables stochastic behaviour (dropout); evaluation mode is
-/// deterministic. Attacks always run in [`Mode::Eval`] — the adversary
-/// differentiates the deployed, deterministic network.
+/// No shipped layer behaves differently between the two modes; the flag
+/// records intent at call sites (training loops pass [`Mode::Train`],
+/// attacks and evaluation [`Mode::Eval`] — the adversary differentiates the
+/// deployed network) and both modes retain the backward cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Training: dropout active, caches retained for backward.
+    /// Training.
     Train,
-    /// Inference: deterministic; caches still retained so input gradients
-    /// (for attacks) remain available.
+    /// Inference; caches are still retained so input gradients (for
+    /// attacks) remain available.
     Eval,
 }
 
@@ -33,8 +34,7 @@ pub enum WeightRepr<'a> {
 /// [`Layer::spec`] lets `advcomp-graph` lower a [`crate::Sequential`] into
 /// its typed IR without downcasting: each variant carries exactly the
 /// state the inference forward pass depends on, borrowed from the layer.
-/// Layers a compiler cannot express report [`LayerSpec::Opaque`] and make
-/// the whole-model lowering fail loudly rather than silently diverge.
+/// Every layer has a spec, so lowering can only fail on shapes.
 #[derive(Debug, Clone, Copy)]
 pub enum LayerSpec<'a> {
     /// 2-D convolution over NCHW input (square kernel).
@@ -57,25 +57,8 @@ pub enum LayerSpec<'a> {
         /// Bias, `[out]`.
         bias: &'a Tensor,
     },
-    /// Batch normalisation (inference uses the running statistics).
-    BatchNorm2d {
-        /// Per-channel scale.
-        gamma: &'a [f32],
-        /// Per-channel shift.
-        beta: &'a [f32],
-        /// Running mean (the eval-mode mean).
-        running_mean: &'a [f32],
-        /// Running variance (the eval-mode variance).
-        running_var: &'a [f32],
-        /// Variance epsilon.
-        eps: f32,
-    },
     /// `max(0, x)` elementwise.
     Relu,
-    /// `tanh(x)` elementwise.
-    Tanh,
-    /// Logistic sigmoid elementwise.
-    Sigmoid,
     /// 2-D max pooling (square window, no padding).
     MaxPool2d {
         /// Window edge.
@@ -83,26 +66,14 @@ pub enum LayerSpec<'a> {
         /// Stride.
         stride: usize,
     },
-    /// 2-D average pooling (square window, no padding).
-    AvgPool2d {
-        /// Window edge.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-    },
     /// Collapse to `[batch, features]`.
     Flatten,
-    /// Dropout — identity in [`Mode::Eval`], which is all an inference
-    /// compiler sees.
-    Dropout,
     /// Simulated activation quantisation; `None` means disabled
     /// (identity).
     FakeQuant {
         /// Installed activation format, if enabled.
         format: Option<advcomp_qformat::QFormat>,
     },
-    /// A layer the compiler has no lowering for.
-    Opaque,
 }
 
 /// A differentiable network layer.
@@ -116,11 +87,13 @@ pub enum LayerSpec<'a> {
 ///   input, *accumulating* (not overwriting) parameter gradients.
 /// * `backward` must not destroy the cache: callers such as DeepFool
 ///   backpropagate several different seed gradients through one forward.
-/// * An [`Mode::Eval`] `forward` must not mutate *persistent* state —
-///   parameters, batch-norm running statistics, dropout RNG position.
-///   The transient backward cache is the only thing it may touch, which is
-///   why concurrent serving replicates models per worker
-///   ([`Layer::clone_layer`]) instead of sharing one behind a lock.
+/// * `forward` must not mutate *persistent* state — parameters and
+///   installed quantisation formats. The transient backward cache is the
+///   only thing it may touch, so clones ([`Layer::clone_layer`]) running
+///   eval forwards concurrently produce bit-identical outputs.
+/// * `spec` must describe the layer completely for inference: the graph
+///   compiler lowers every model through it, and serving executes only
+///   the compiled plan.
 pub trait Layer: Send + Sync {
     /// Computes the layer output for `input`.
     ///
@@ -152,23 +125,16 @@ pub trait Layer: Send + Sync {
     fn kind(&self) -> &'static str;
 
     /// Structural description of this layer for the graph compiler
-    /// ([`LayerSpec`]). The default is [`LayerSpec::Opaque`], which makes
-    /// lowering a model containing this layer fail; every in-tree layer
-    /// overrides it.
-    fn spec(&self) -> LayerSpec<'_> {
-        LayerSpec::Opaque
-    }
+    /// ([`LayerSpec`]).
+    fn spec(&self) -> LayerSpec<'_>;
 
-    /// Clones this layer into an independent replica with **fresh (empty)
-    /// backward caches** but identical persistent state: parameter values,
-    /// batch-norm running statistics, dropout RNG position, installed
-    /// quantisation formats.
+    /// Clones this layer into an independent copy with **fresh (empty)
+    /// backward caches** but identical persistent state: parameter values
+    /// and installed quantisation formats.
     ///
-    /// Replicas are how the serving engine scales across workers: the model
-    /// is loaded once, then cloned per worker so concurrent eval-mode
-    /// forward passes never contend on the shared original. Because the
-    /// clone starts cache-free, `backward` before a `forward` on it fails
-    /// with [`crate::NnError::BackwardBeforeForward`] as on a new layer.
+    /// Because the clone starts cache-free, `backward` before a `forward`
+    /// on it fails with [`crate::NnError::BackwardBeforeForward`] as on a
+    /// new layer.
     fn clone_layer(&self) -> Box<dyn Layer>;
 
     /// The activation tensor this layer produced in its last forward pass,

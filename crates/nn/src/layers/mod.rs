@@ -1,22 +1,14 @@
 //! Concrete layer implementations.
 
-mod activation;
-mod avgpool;
-mod batchnorm;
 mod conv;
 mod dense;
-mod dropout;
 mod fakequant;
 mod flatten;
 mod pool;
 mod relu;
 
-pub use activation::{Sigmoid, Tanh};
-pub use avgpool::AvgPool2d;
-pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use fakequant::FakeQuant;
 pub use flatten::Flatten;
 pub use pool::MaxPool2d;

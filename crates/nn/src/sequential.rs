@@ -239,11 +239,9 @@ impl Sequential {
 }
 
 impl Clone for Sequential {
-    /// Clones the network into an independent replica via
+    /// Clones the network into an independent copy via
     /// [`Layer::clone_layer`]: identical persistent state (parameter
-    /// values, running statistics, quantisation formats), fresh backward
-    /// caches. Serving workers each own one replica so concurrent forward
-    /// passes never contend.
+    /// values, quantisation formats), fresh backward caches.
     fn clone(&self) -> Self {
         Sequential {
             layers: self.layers.iter().map(|l| l.clone_layer()).collect(),

@@ -3,7 +3,7 @@
 //! the correctness backbone of every attack and training result.
 
 use advcomp_nn::{
-    finite_diff_input_grad, finite_diff_param_grad, softmax_cross_entropy, Conv2d, Dense, Dropout,
+    finite_diff_input_grad, finite_diff_param_grad, softmax_cross_entropy, Conv2d, Dense,
     FakeQuant, Flatten, Layer, MaxPool2d, Mode, Relu, Sequential,
 };
 use advcomp_qformat::QFormat;
@@ -139,21 +139,6 @@ fn fakequant_ste_blocks_saturated_gradients() {
     net.forward(&x, Mode::Eval).unwrap();
     let g = net.backward(&Tensor::ones(&[1, 3])).unwrap();
     assert_eq!(g.data(), &[1.0, 0.0, 0.0]);
-}
-
-#[test]
-fn dropout_eval_does_not_perturb_gradients() {
-    let mut r = rng(4);
-    let mut net = Sequential::new(vec![
-        Box::new(Dense::with_name("d1", 4, 8, &mut r)),
-        Box::new(Dropout::new(0.5, 0)),
-        Box::new(Relu::new()),
-        Box::new(Dense::with_name("d2", 8, 2, &mut r)),
-    ]);
-    let x = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor(&[3, 4], &mut r);
-    let labels = vec![0usize, 1, 0];
-    // Eval mode: dropout is identity, so gradcheck must pass exactly.
-    check_input_grad(&mut net, &x, &labels, 2e-2);
 }
 
 #[test]

@@ -15,13 +15,16 @@
 //!          a hang)                                           batched forward
 //! ```
 //!
-//! Each worker owns one shard and a private [`ReplicaSet`] — forwards
-//! never touch shared layer state (see `Layer::clone_layer`). An idle
-//! worker steals a chunk of queued jobs from the most loaded shard, so a
-//! stalled worker never strands requests. Before each batch the worker
-//! compares the registry's swap generation with its cached one and
-//! re-replicates on change: a hot model swap lands between batches,
-//! without draining in-flight work.
+//! Each worker owns one shard and private compiled
+//! [`ExecPlan`]s for every registered model, compiled directly from the
+//! registry's shared [`ModelSet`](crate::ModelSet) snapshot — the plan is
+//! the only forward path, and it keeps its arena across batches, so
+//! workers never touch shared mutable state. An idle worker steals a
+//! chunk of queued jobs from the most loaded shard, so a stalled worker
+//! never strands requests. Before each batch the worker compares the
+//! registry's swap generation with its cached one and recompiles on
+//! change: a hot model swap lands between batches, without draining
+//! in-flight work.
 //!
 //! # Completion contract
 //!
@@ -51,12 +54,12 @@
 //! metrics snapshot reports the verdicts as calibrated.
 
 use crate::metrics::GuardDeployment;
-use crate::registry::{ModelRegistry, RegistryHandle, ReplicaSet};
+use crate::registry::{ModelRegistry, RegistryHandle};
 use crate::shard::{PushError, ShardedQueue};
 use crate::{ServeError, ServeMetrics};
 use advcomp_detect::{detector_by_name, Detector, DisagreementDetector};
 use advcomp_graph::ExecPlan;
-use advcomp_nn::{faults, softmax, Mode, Sequential};
+use advcomp_nn::{faults, softmax};
 use advcomp_tensor::Tensor;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Sender};
@@ -261,7 +264,7 @@ pub struct Engine {
 impl Engine {
     /// Spawns the worker pool over `registry`'s models. The engine keeps
     /// a live handle to the registry: a later
-    /// [`ModelRegistry::swap_variant`] is picked up by every worker at
+    /// [`ModelRegistry::swap`] is picked up by every worker at
     /// its next batch boundary.
     ///
     /// # Errors
@@ -310,13 +313,15 @@ impl Engine {
         }
         let mut workers = Vec::with_capacity(shared.config.workers);
         for idx in 0..shared.config.workers {
-            let (generation, set) = shared.registry.snapshot();
-            let replicas = set.replica();
             let shared = Arc::clone(&shared);
+            let fault_scope = faults::scope();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{idx}"))
-                    .spawn(move || worker_loop(idx, replicas, generation, shared))
+                    .spawn(move || {
+                        fault_scope.enter();
+                        worker_loop(idx, shared)
+                    })
                     .map_err(ServeError::Io)?,
             );
         }
@@ -577,94 +582,87 @@ impl Engine {
     }
 }
 
-/// A per-worker model replica paired with its compiled forward plan.
+/// One registered model's compiled forward plan, owned by one worker.
 ///
-/// The plan is compiled once per (replica, registry generation) and keeps
-/// its activation arena and quantisation scratch across batches, so the
-/// steady-state serving forward performs no per-layer heap allocation. A
-/// model the graph compiler cannot lower (or a plan that rejects the live
-/// input) falls back to the layer-at-a-time `Sequential` forward — the
-/// engine serves either way.
+/// The plan keeps its activation arena and quantisation scratch across
+/// batches, so the steady-state serving forward performs no per-layer
+/// heap allocation.
 struct PlannedModel {
     name: String,
-    model: Sequential,
-    plan: Option<ExecPlan>,
+    plan: ExecPlan,
 }
 
-impl PlannedModel {
-    /// Compiles `model` for the engine's input shape and publishes the
-    /// compile-time gauges under metrics slot `index`.
-    fn compile(index: usize, name: String, model: Sequential, shared: &Shared) -> Self {
-        let plan = match ExecPlan::compile(&model, &shared.input_shape) {
-            Ok(mut p) => {
-                // Pre-size the arena for the largest coalesced batch so
-                // even the first forward allocates nothing.
-                p.reserve_batch(shared.config.max_batch);
-                shared.metrics.set_model_plan(
-                    index,
-                    p.compile_us().max(1),
-                    p.arena_peak_bytes() as u64,
-                );
-                Some(p)
-            }
-            Err(_) => None,
-        };
-        PlannedModel { name, model, plan }
-    }
-
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, ServeError> {
-        if let Some(plan) = &mut self.plan {
-            if let Ok(out) = plan.forward(input) {
-                return Ok(out);
-            }
-            // A plan that cannot execute the live input is stale; drop it
-            // and serve through the layer path from now on.
-            self.plan = None;
-        }
-        self.model
-            .forward(input, Mode::Eval)
-            .map_err(ServeError::from)
-    }
-}
-
-/// Every registered model of one worker, compiled.
+/// Every registered model of one worker, compiled in the worker's own
+/// thread (so the plan's arena and packed weights come from that thread's
+/// allocator, not the caller's heap) from the registry snapshot of
+/// `generation`.
 struct PlannedSet {
+    generation: u64,
     baseline: PlannedModel,
     variants: Vec<PlannedModel>,
 }
 
 impl PlannedSet {
-    fn compile(replicas: ReplicaSet, shared: &Shared) -> Self {
-        PlannedSet {
-            baseline: PlannedModel::compile(0, replicas.baseline.0, replicas.baseline.1, shared),
-            variants: replicas
-                .variants
-                .into_iter()
-                .enumerate()
-                .map(|(i, (n, m))| PlannedModel::compile(1 + i, n, m, shared))
-                .collect(),
-        }
+    /// Compiles every model of the current registry snapshot for the
+    /// engine's input shape and publishes the compile-time gauges.
+    fn compile(shared: &Shared) -> Result<Self, ServeError> {
+        let (generation, set) = shared.registry.snapshot();
+        let mut planned = set
+            .models()
+            .enumerate()
+            .map(|(index, (name, model))| {
+                let mut plan = ExecPlan::compile(model, &shared.input_shape)?;
+                // Pre-size the arena for the largest coalesced batch so
+                // even the first forward allocates nothing.
+                plan.reserve_batch(shared.config.max_batch);
+                shared.metrics.set_model_plan(
+                    index,
+                    plan.compile_us().max(1),
+                    plan.arena_peak_bytes() as u64,
+                );
+                Ok(PlannedModel {
+                    name: name.to_string(),
+                    plan,
+                })
+            })
+            .collect::<Result<Vec<_>, ServeError>>()?;
+        // `models()` always yields the baseline first.
+        let baseline = planned.remove(0);
+        Ok(PlannedSet {
+            generation,
+            baseline,
+            variants: planned,
+        })
     }
 }
 
-fn worker_loop(idx: usize, replicas: ReplicaSet, mut generation: u64, shared: Arc<Shared>) {
+/// Compiles `planned` when nothing is compiled yet or the registry
+/// generation moved since it was (hot swap: in-flight work finished on the
+/// old weights, the next batch runs on the new ones).
+fn refresh<'a>(
+    planned: &'a mut Option<PlannedSet>,
+    shared: &Shared,
+) -> Result<&'a mut PlannedSet, ServeError> {
+    let current = shared.registry.generation();
+    if planned.as_ref().is_none_or(|p| p.generation != current) {
+        *planned = Some(PlannedSet::compile(shared)?);
+    }
+    Ok(planned.as_mut().expect("compiled above"))
+}
+
+fn worker_loop(idx: usize, shared: Arc<Shared>) {
     let max_batch = shared.config.max_batch;
     let max_delay = shared.config.max_delay;
     let steal_poll = shared.config.steal_poll;
-    let mut planned = PlannedSet::compile(replicas, &shared);
+    // Compile before the first batch arrives. The registry only publishes
+    // models whose plans compiled, so this cannot fail; if it ever did,
+    // the first batch retries and reports the error to its jobs.
+    let mut planned = None;
+    let _ = refresh(&mut planned, &shared);
     while let Some(jobs) = shared
         .queue
         .pop_batch(idx, max_batch, max_delay, steal_poll)
     {
-        // Hot swap: between batches, refresh replicas when the registry
-        // generation moved. In-flight work finished on the old weights;
-        // this batch runs on the new ones (recompiled plans included).
-        let current = shared.registry.generation();
-        if current != generation {
-            let (g, set) = shared.registry.snapshot();
-            planned = PlannedSet::compile(set.replica(), &shared);
-            generation = g;
-        }
         let mut batch = Vec::with_capacity(jobs.len());
         for job in jobs {
             match job {
@@ -699,11 +697,12 @@ fn worker_loop(idx: usize, replicas: ReplicaSet, mut generation: u64, shared: Ar
 
 /// Runs one coalesced batch through the baseline (and guard variants),
 /// then answers every job's completion.
-fn run_batch(replicas: &mut PlannedSet, batch: Vec<WorkJob>, shared: &Shared) {
+fn run_batch(planned: &mut Option<PlannedSet>, batch: Vec<WorkJob>, shared: &Shared) {
     let m = &shared.metrics;
     // Deterministic fault site for the soak suite: a `panic` spec here
     // exercises the worker's catch_unwind + completion-guard path.
     faults::maybe_panic("serve_batch");
+    let refreshed = refresh(planned, shared);
     let n = batch.len();
     let mut shape = vec![n];
     shape.extend_from_slice(&shared.input_shape);
@@ -713,21 +712,22 @@ fn run_batch(replicas: &mut PlannedSet, batch: Vec<WorkJob>, shared: &Shared) {
     }
     let forward_t0 = Instant::now();
     let outcome = (|| -> Result<_, ServeError> {
+        let planned = refreshed?;
         let input = Tensor::new(&shape, data).map_err(advcomp_nn::NnError::from)?;
-        let logits = replicas.baseline.forward(&input)?;
+        let logits = planned.baseline.plan.forward(&input)?;
         m.record_model_forward(0, forward_t0.elapsed());
         let labels = logits.argmax_rows().map_err(advcomp_nn::NnError::from)?;
         let probs = softmax(&logits)?;
-        let guard = match (&shared.guard, replicas.variants.is_empty()) {
+        let guard = match (&shared.guard, planned.variants.is_empty()) {
             (Some(g), false) => {
-                let mut variant_logits = Vec::with_capacity(replicas.variants.len());
-                let mut per_variant = Vec::with_capacity(replicas.variants.len());
-                for (i, planned) in replicas.variants.iter_mut().enumerate() {
+                let mut variant_logits = Vec::with_capacity(planned.variants.len());
+                let mut per_variant = Vec::with_capacity(planned.variants.len());
+                for (i, variant) in planned.variants.iter_mut().enumerate() {
                     let variant_t0 = Instant::now();
-                    let vl = planned.forward(&input)?;
+                    let vl = variant.plan.forward(&input)?;
                     m.record_model_forward(1 + i, variant_t0.elapsed());
                     let vlabels = vl.argmax_rows().map_err(advcomp_nn::NnError::from)?;
-                    per_variant.push((planned.name.clone(), vlabels));
+                    per_variant.push((variant.name.clone(), vlabels));
                     variant_logits.push(vl);
                 }
                 // Score through the shared detector implementation — the
@@ -991,7 +991,6 @@ mod tests {
             let g = plan
                 .get(name)
                 .unwrap_or_else(|| panic!("gauges for {name}"));
-            assert_eq!(g.get("compiled"), Some(&Json::Bool(true)), "{name}");
             assert!(
                 matches!(g.get("compile_us"), Some(Json::Num(v)) if *v >= 1.0),
                 "{name} compile_us"

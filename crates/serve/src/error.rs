@@ -1,6 +1,7 @@
 //! Error type for the serving engine.
 
 use advcomp_detect::DetectError;
+use advcomp_graph::GraphError;
 use advcomp_models::CheckpointError;
 use advcomp_nn::NnError;
 use std::fmt;
@@ -33,6 +34,10 @@ pub enum ServeError {
     Detect(DetectError),
     /// A model forward pass failed.
     Nn(NnError),
+    /// A model's compiled forward plan failed: the compiler rejected the
+    /// model for the registry's input shape (refused at registration), or
+    /// a plan forward failed at serve time.
+    Plan(GraphError),
     /// Socket-level I/O failed.
     Io(std::io::Error),
 }
@@ -49,6 +54,7 @@ impl fmt::Display for ServeError {
             ServeError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             ServeError::Detect(e) => write!(f, "guard: {e}"),
             ServeError::Nn(e) => write!(f, "model: {e}"),
+            ServeError::Plan(e) => write!(f, "plan: {e}"),
             ServeError::Io(e) => write!(f, "io: {e}"),
         }
     }
@@ -60,6 +66,7 @@ impl std::error::Error for ServeError {
             ServeError::Checkpoint(e) => Some(e),
             ServeError::Detect(e) => Some(e),
             ServeError::Nn(e) => Some(e),
+            ServeError::Plan(e) => Some(e),
             ServeError::Io(e) => Some(e),
             _ => None,
         }
@@ -81,6 +88,12 @@ impl From<DetectError> for ServeError {
 impl From<NnError> for ServeError {
     fn from(e: NnError) -> Self {
         ServeError::Nn(e)
+    }
+}
+
+impl From<GraphError> for ServeError {
+    fn from(e: GraphError) -> Self {
+        ServeError::Plan(e)
     }
 }
 

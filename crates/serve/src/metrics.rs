@@ -165,8 +165,6 @@ impl BatchSizeDistribution {
 
 /// Per-model gauges for the compiled forward plan: set once per compile
 /// (workers compile identical models, so last-writer-wins is fine).
-/// Both gauges stay 0 for a model the graph compiler could not plan —
-/// that model serves through the `Sequential` fallback.
 #[derive(Debug, Default)]
 pub struct PlanGauge {
     /// Time the graph compiler spent building the plan, in microseconds.
@@ -451,10 +449,6 @@ impl ServeMetrics {
                     obj = obj.set(
                         name,
                         JsonObj::new()
-                            .set(
-                                "compiled",
-                                Json::Bool(g.compile_us.load(Ordering::Relaxed) > 0),
-                            )
                             .set(
                                 "compile_us",
                                 Json::Num(g.compile_us.load(Ordering::Relaxed) as f64),

@@ -1,5 +1,4 @@
-//! Model registry: named, validated, replica-able, hot-swappable model
-//! sets.
+//! Model registry: named, validated, hot-swappable model sets.
 //!
 //! The registry holds one **baseline** (the full-precision reference model)
 //! and any number of **compressed variants** (pruned / quantised copies of
@@ -10,18 +9,22 @@
 //! [`CheckpointError::Corrupt`](advcomp_models::CheckpointError) instead of
 //! serving garbage predictions.
 //!
-//! Every registered model is probe-forwarded once on a zero batch to pin
-//! down its output arity; variants must agree with the baseline's class
-//! count.
+//! Every registered model is compiled to an
+//! [`ExecPlan`](advcomp_graph::ExecPlan) — the only forward path the
+//! engine runs — and probe-forwarded once on a zero batch to pin down its
+//! output arity, so a model the plan compiler rejects is refused with
+//! [`ServeError::Plan`] before it is published. Variants must agree with
+//! the baseline's class count.
 //!
 //! # Snapshots and hot swap
 //!
 //! The registry publishes its models as immutable [`ModelSet`] snapshots
 //! behind an [`Arc`], stamped with a monotonically increasing
 //! **generation**. Engines take a [`RegistryHandle`] at start; each worker
-//! caches `(generation, Arc<ModelSet>)` and re-replicates only when the
+//! compiles its plans from the shared snapshot and recompiles only when the
 //! generation moves — a relaxed integer compare per batch, no lock on the
-//! forward path.
+//! forward path. Snapshots share unchanged models by `Arc`, so publishing
+//! copies no weights.
 //!
 //! [`ModelRegistry::swap`] atomically replaces one named model with a
 //! freshly CRC-validated + probe-validated checkpoint load: the new
@@ -33,34 +36,31 @@
 
 use crate::ServeError;
 use advcomp_detect::{detector_by_name, DetectorCalibration};
+use advcomp_graph::ExecPlan;
 use advcomp_models::Checkpoint;
-use advcomp_nn::{Mode, Sequential};
+use advcomp_nn::Sequential;
 use advcomp_tensor::Tensor;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+type Named = (String, Arc<Sequential>);
+
 /// One immutable published snapshot of every registered model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ModelSet {
-    baseline: (String, Sequential),
-    variants: Vec<(String, Sequential)>,
+    baseline: Named,
+    variants: Vec<Named>,
     classes: usize,
 }
 
 impl ModelSet {
-    /// Clones every model into an independent per-worker [`ReplicaSet`]
-    /// (fresh-cache clones, see `advcomp_nn::Layer::clone_layer`), so
-    /// concurrent forward passes never contend on shared layer state.
-    pub fn replica(&self) -> ReplicaSet {
-        ReplicaSet {
-            baseline: (self.baseline.0.clone(), self.baseline.1.clone()),
-            variants: self
-                .variants
-                .iter()
-                .map(|(n, m)| (n.clone(), m.clone()))
-                .collect(),
-        }
+    /// Every model as `(name, model)`, baseline first, then the variants
+    /// in registration order.
+    pub fn models(&self) -> impl Iterator<Item = (&str, &Sequential)> {
+        std::iter::once(&self.baseline)
+            .chain(&self.variants)
+            .map(|(n, m)| (n.as_str(), &**m))
     }
 
     /// Number of output classes.
@@ -70,19 +70,8 @@ impl ModelSet {
 
     /// Names of all models, baseline first.
     pub fn names(&self) -> Vec<String> {
-        std::iter::once(self.baseline.0.clone())
-            .chain(self.variants.iter().map(|(n, _)| n.clone()))
-            .collect()
+        self.models().map(|(n, _)| n.to_string()).collect()
     }
-}
-
-/// A per-worker clone of every registered model.
-#[derive(Debug)]
-pub struct ReplicaSet {
-    /// `(name, model)` of the baseline.
-    pub baseline: (String, Sequential),
-    /// `(name, model)` of each compressed variant, registry order.
-    pub variants: Vec<(String, Sequential)>,
 }
 
 /// Shared swap cell: the published snapshot plus its generation stamp.
@@ -216,20 +205,21 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Config`] when a baseline is already set or the model
-    /// rejects the registry's input shape.
+    /// [`ServeError::Config`] when a baseline is already set,
+    /// [`ServeError::Plan`] when the model does not compile for the
+    /// registry's input shape.
     pub fn set_baseline(
         &mut self,
         name: impl Into<String>,
-        mut model: Sequential,
+        model: Sequential,
     ) -> Result<(), ServeError> {
         if self.current().is_some() {
             return Err(ServeError::Config("baseline already registered".into()));
         }
-        let classes = self.probe(&mut model)?;
+        let classes = self.probe(&model)?;
         self.publish(
             ModelSet {
-                baseline: (name.into(), model),
+                baseline: (name.into(), Arc::new(model)),
                 variants: Vec::new(),
                 classes,
             },
@@ -244,11 +234,12 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// [`ServeError::Config`] without a baseline, on duplicate names, or on
-    /// probe/class mismatches.
+    /// a class mismatch; [`ServeError::Plan`] when the model does not
+    /// compile.
     pub fn add_variant(
         &mut self,
         name: impl Into<String>,
-        mut model: Sequential,
+        model: Sequential,
     ) -> Result<(), ServeError> {
         let name = name.into();
         let Some(old) = self.current() else {
@@ -259,23 +250,16 @@ impl ModelRegistry {
         if old.names().contains(&name) {
             return Err(ServeError::Config(format!("duplicate model name {name}")));
         }
-        let classes = self.probe(&mut model)?;
+        let classes = self.probe(&model)?;
         if classes != old.classes {
             return Err(ServeError::Config(format!(
                 "variant {name} has {classes} classes, baseline has {}",
                 old.classes
             )));
         }
-        let mut next = old.replica();
-        next.variants.push((name, model));
-        self.publish(
-            ModelSet {
-                baseline: next.baseline,
-                variants: next.variants,
-                classes: old.classes,
-            },
-            false,
-        );
+        let mut next = (*old).clone();
+        next.variants.push((name, Arc::new(model)));
+        self.publish(next, false);
         Ok(())
     }
 
@@ -325,20 +309,21 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Checkpoint I/O / corruption, [`ServeError::Config`] for an unknown
-    /// `name`, a probe failure, or a class-count mismatch.
+    /// `name` or a class-count mismatch, [`ServeError::Plan`] when the
+    /// model does not compile.
     pub fn swap(&self, name: &str, mut arch: Sequential, path: &Path) -> Result<(), ServeError> {
         Checkpoint::load(path)?.restore(&mut arch)?;
         let Some(old) = self.current() else {
             return Err(ServeError::Config("no baseline registered".into()));
         };
-        let classes = self.probe(&mut arch)?;
+        let classes = self.probe(&arch)?;
         if classes != old.classes {
             return Err(ServeError::Config(format!(
                 "swap for {name} has {classes} classes, registry has {}",
                 old.classes
             )));
         }
-        let mut next = old.replica();
+        let mut next = (*old).clone();
         let slot = if next.baseline.0 == name {
             &mut next.baseline.1
         } else if let Some((_, m)) = next.variants.iter_mut().find(|(n, _)| n == name) {
@@ -349,15 +334,8 @@ impl ModelRegistry {
                 old.names()
             )));
         };
-        *slot = arch;
-        self.publish(
-            ModelSet {
-                baseline: next.baseline,
-                variants: next.variants,
-                classes: old.classes,
-            },
-            true,
-        );
+        *slot = Arc::new(arch);
+        self.publish(next, true);
         Ok(())
     }
 
@@ -411,22 +389,13 @@ impl ModelRegistry {
         self.current().map_or(0, |s| s.variants.len())
     }
 
-    /// Clones every model into an independent per-worker [`ReplicaSet`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Config`] when no baseline is registered.
-    pub fn replica(&self) -> Result<ReplicaSet, ServeError> {
-        self.current()
-            .map(|s| s.replica())
-            .ok_or_else(|| ServeError::Config("no baseline registered".into()))
-    }
-
-    /// Probe-forwards a zero batch, returning the model's class count.
-    fn probe(&self, model: &mut Sequential) -> Result<usize, ServeError> {
+    /// Compiles `model` and probe-forwards a zero batch through the plan,
+    /// returning the model's class count.
+    fn probe(&self, model: &Sequential) -> Result<usize, ServeError> {
+        let mut plan = ExecPlan::compile(model, &self.input_shape)?;
         let mut shape = vec![1];
         shape.extend_from_slice(&self.input_shape);
-        let logits = model.forward(&Tensor::zeros(&shape), Mode::Eval)?;
+        let logits = plan.forward(&Tensor::zeros(&shape))?;
         if logits.ndim() != 2 || logits.shape()[0] != 1 {
             return Err(ServeError::Config(format!(
                 "model produced logits of shape {:?}, expected [1, classes]",
@@ -440,16 +409,20 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use advcomp_models::mlp;
+    use advcomp_models::{cifarnet, mlp};
 
     fn shape() -> [usize; 3] {
         [1, 28, 28]
     }
 
+    fn fc1(set: &ModelSet, name: &str) -> Vec<f32> {
+        let (_, model) = set.models().find(|(n, _)| *n == name).unwrap();
+        model.param("fc1.weight").unwrap().value.data().to_vec()
+    }
+
     #[test]
     fn baseline_then_variants() {
         let mut reg = ModelRegistry::new(&shape()).unwrap();
-        assert!(reg.replica().is_err());
         assert!(reg.handle().is_err());
         reg.set_baseline("dense", mlp(8, 0)).unwrap();
         reg.add_variant("quant8", mlp(8, 1)).unwrap();
@@ -457,27 +430,10 @@ mod tests {
         assert_eq!(reg.num_classes(), 10);
         assert_eq!(reg.baseline_name().as_deref(), Some("dense"));
         assert_eq!(reg.names(), vec!["dense", "quant8", "pruned"]);
-        let replica = reg.replica().unwrap();
-        assert_eq!(replica.baseline.0, "dense");
-        assert_eq!(replica.variants.len(), 2);
-    }
-
-    #[test]
-    fn replicas_are_independent() {
-        let mut reg = ModelRegistry::new(&shape()).unwrap();
-        reg.set_baseline("dense", mlp(8, 0)).unwrap();
-        let mut a = reg.replica().unwrap();
-        let b = reg.replica().unwrap();
-        a.baseline
-            .1
-            .param_mut("fc1.weight")
-            .unwrap()
-            .value
-            .data_mut()[0] = 99.0;
-        assert_ne!(
-            b.baseline.1.param("fc1.weight").unwrap().value.data()[0],
-            99.0
-        );
+        assert_eq!(reg.num_variants(), 2);
+        let (_, set) = reg.handle().unwrap().snapshot();
+        let names: Vec<&str> = set.models().map(|(n, _)| n).collect();
+        assert_eq!(names, ["dense", "quant8", "pruned"]);
     }
 
     #[test]
@@ -511,9 +467,9 @@ mod tests {
 
         let mut reg = ModelRegistry::new(&shape()).unwrap();
         reg.load_baseline("dense", mlp(8, 0), &path).unwrap();
-        let replica = reg.replica().unwrap();
+        let (_, set) = reg.handle().unwrap().snapshot();
         assert_eq!(
-            replica.baseline.1.param("fc1.weight").unwrap().value.data(),
+            fc1(&set, "dense"),
             trained.param("fc1.weight").unwrap().value.data()
         );
 
@@ -548,13 +504,7 @@ mod tests {
         reg.add_variant("quant8", mlp(8, 1)).unwrap();
         let handle = reg.handle().unwrap();
         let (g0, s0) = handle.snapshot();
-        let before = s0.replica().variants[0]
-            .1
-            .param("fc1.weight")
-            .unwrap()
-            .value
-            .data()
-            .to_vec();
+        let before = fc1(&s0, "quant8");
 
         reg.swap("quant8", mlp(8, 0), &path).unwrap();
         let (g1, s1) = handle.snapshot();
@@ -562,27 +512,14 @@ mod tests {
         assert_eq!(handle.swaps(), 1);
         // Names and order are unchanged; the weights are the new ones.
         assert_eq!(s1.names(), vec!["dense", "quant8"]);
-        let after = s1.replica().variants[0]
-            .1
-            .param("fc1.weight")
-            .unwrap()
-            .value
-            .data()
-            .to_vec();
+        let after = fc1(&s1, "quant8");
         assert_ne!(before, after);
         assert_eq!(
             after,
             next.param("fc1.weight").unwrap().value.data().to_vec()
         );
         // The old snapshot is untouched (in-flight batches keep working).
-        let still = s0.replica().variants[0]
-            .1
-            .param("fc1.weight")
-            .unwrap()
-            .value
-            .data()
-            .to_vec();
-        assert_eq!(before, still);
+        assert_eq!(before, fc1(&s0, "quant8"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -607,9 +544,33 @@ mod tests {
         std::fs::write(&bad, &bytes).unwrap();
         assert!(reg.swap("dense", mlp(8, 0), &bad).is_err());
 
+        // A model the plan compiler rejects (CifarNet expects 3 input
+        // channels, the registry serves [1, 28, 28]) is refused with a
+        // typed error through both registration and swap.
+        let cifar = dir.join("cifar.advc");
+        Checkpoint::capture(&cifarnet(0.25, 7))
+            .save(&cifar)
+            .unwrap();
+        match reg.add_variant("cifar", cifarnet(0.25, 0)) {
+            Err(ServeError::Plan(advcomp_graph::GraphError::Shape(_))) => {}
+            other => panic!("expected a plan shape error, got {other:?}"),
+        }
+        match reg.swap("dense", cifarnet(0.25, 0), &cifar) {
+            Err(ServeError::Plan(advcomp_graph::GraphError::Shape(_))) => {}
+            other => panic!("expected a plan shape error, got {other:?}"),
+        }
+        let mut fresh = ModelRegistry::new(&shape()).unwrap();
+        assert!(matches!(
+            fresh.set_baseline("cifar", cifarnet(0.25, 0)),
+            Err(ServeError::Plan(_))
+        ));
+        assert!(fresh.handle().is_err(), "rejected baseline was published");
+
         assert_eq!(handle.generation(), g0, "failed swaps publish nothing");
         assert_eq!(handle.swaps(), 0);
+        assert_eq!(reg.names(), vec!["dense"]);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&bad).ok();
+        std::fs::remove_file(&cifar).ok();
     }
 }

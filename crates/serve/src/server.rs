@@ -173,10 +173,14 @@ impl Server {
                 admission: admission.clone(),
                 read_timeout: config.read_timeout,
             };
+            let fault_scope = faults::scope();
             io_threads.push(
                 std::thread::Builder::new()
                     .name(format!("serve-io-{i}"))
-                    .spawn(move || io_loop(ctx))
+                    .spawn(move || {
+                        fault_scope.enter();
+                        io_loop(ctx)
+                    })
                     .map_err(ServeError::Io)?,
             );
         }

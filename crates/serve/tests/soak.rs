@@ -179,12 +179,14 @@ fn chaos_soak_long() {
 /// count the damage, and keep serving.
 #[test]
 fn injected_io_and_batch_faults_are_survived_and_counted() {
-    let server = start_server(2, 64);
-    let addr = server.local_addr();
+    // Installed faults are scoped to this thread and the threads it
+    // spawns, so install them before the server starts its workers.
     let _guard = install(vec![
         FaultSpec::once(FaultKind::Io, "serve_conn_read", 0),
         FaultSpec::once(FaultKind::Panic, "serve_batch", 0),
     ]);
+    let server = start_server(2, 64);
+    let addr = server.local_addr();
 
     // Victim A: its first readable event hits the io fault; the server
     // treats the connection as reset. The client observes EOF/error,

@@ -75,7 +75,6 @@ fn journal_file_count(run_dir: &Path) -> usize {
 
 #[test]
 fn distributed_solo_and_single_process_runs_are_bit_identical() {
-    let _g = install(vec![]);
     let matrix = two_point_matrix();
     let reference = single_process(&matrix);
 

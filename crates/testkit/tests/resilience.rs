@@ -67,10 +67,7 @@ fn interrupted_sweep_resumes_bit_identically() {
         first.failed
     );
 
-    // Phases 2-3 run fault-free; the empty install keeps exclusive hold of
-    // the process-global registry.
-    let _g = install(vec![]);
-
+    // Phases 2-3 run fault-free: phase 1's faults left with its guard.
     // Phase 2: resume. The two completed points load from the journal; only
     // the previously-failed point is recomputed.
     let second = matrix.run_resilient(&scale, &journalled(&run_dir)).unwrap();

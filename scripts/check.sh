@@ -12,6 +12,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # differential kernel fuzzing, determinism, gradcheck).
 cargo test --workspace -q
 
+# advbench is a standalone package (its own [workspace]) that only calls
+# the crates' public APIs, so nothing above builds it. Building and
+# testing it here catches a deleted or renamed public item it depends on.
+cargo test -q --release --offline --manifest-path advbench/Cargo.toml
+echo "advbench: builds and its tests pass"
+
 # Golden-drift gate: regenerate the checked-in golden vectors in place and
 # fail if they differ from HEAD. A stale golden already fails `cargo test`;
 # this direction catches the opposite mistake — a regenerated golden that
