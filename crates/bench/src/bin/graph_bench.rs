@@ -20,6 +20,7 @@
 //! allocation — the regression gate `scripts/check.sh` relies on,
 //! mirroring `kernel_bench --check-simd` and `quant_bench --check-quant`.
 
+use advcomp_bench::median_ns;
 use advcomp_compress::Quantizer;
 use advcomp_graph::ExecPlan;
 use advcomp_models::{cifarnet, lenet5};
@@ -27,7 +28,6 @@ use advcomp_nn::{Mode, Sequential};
 use advcomp_tensor::{pool, simd, Init, Tensor};
 use serde::Serialize;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// The gate `--check-graph` enforces on compiled q8 LeNet-5.
 const GATE_SPEEDUP: f64 = 1.3;
@@ -69,21 +69,6 @@ struct GraphReport {
     threads: usize,
     gate_speedup: f64,
     models: Vec<ModelRow>,
-}
-
-fn median_ns(iters: usize, mut f: impl FnMut()) -> u64 {
-    for _ in 0..iters.div_ceil(10).max(3) {
-        f();
-    }
-    let mut samples: Vec<u64> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 fn freeze(model: &mut Sequential, bits: u32) {

@@ -25,12 +25,12 @@
 //! `scripts/check.sh` relies on.
 
 use advcomp_attacks::step;
+use advcomp_bench::median_ns;
 use advcomp_tensor::{
     im2col, pool, simd, Conv2dGeometry, Init, KernelBackend, MatmulKernel, Tensor,
 };
 use serde::Serialize;
 use std::hint::black_box;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct KernelTiming {
@@ -72,23 +72,6 @@ struct SimdReport {
     unfused_sign_step_ns: u64,
     fused_speedup_vs_unfused: f64,
     pairs: Vec<SimdPair>,
-}
-
-fn median_ns(iters: usize, mut f: impl FnMut()) -> u64 {
-    // A few unmeasured runs warm caches and (for the pooled path) start the
-    // worker threads, so thread creation is not billed to the pool.
-    for _ in 0..iters.div_ceil(10).max(3) {
-        f();
-    }
-    let mut samples: Vec<u64> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 fn sparsify(a: &Tensor, density: f32) -> Tensor {

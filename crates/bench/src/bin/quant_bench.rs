@@ -26,6 +26,7 @@
 //! GEMM is not faster than the dense f32 SIMD GEMM — the regression gate
 //! `scripts/check.sh` relies on, mirroring `kernel_bench --check-simd`.
 
+use advcomp_bench::median_ns;
 use advcomp_compress::Quantizer;
 use advcomp_graph::ExecPlan;
 use advcomp_models::{lenet5, Checkpoint};
@@ -34,7 +35,6 @@ use advcomp_qformat::QFormat;
 use advcomp_tensor::{pool, qmatmul_f32, simd, Init, KernelBackend, MatmulKernel, QTensor};
 use serde::Serialize;
 use std::hint::black_box;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct GemmSection {
@@ -92,21 +92,6 @@ struct QuantReport {
     forward: ForwardSection,
     guard: GuardSection,
     checkpoint: CheckpointSection,
-}
-
-fn median_ns(iters: usize, mut f: impl FnMut()) -> u64 {
-    for _ in 0..iters.div_ceil(10).max(3) {
-        f();
-    }
-    let mut samples: Vec<u64> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 fn frozen_lenet(bits: u32, seed: u64) -> Sequential {

@@ -19,6 +19,25 @@ use advcomp_core::ExperimentScale;
 use serde::Serialize;
 use std::path::PathBuf;
 
+/// Median wall time of `f` in ns over `iters` timed runs, after
+/// `max(3, ⌈iters / 10⌉)` unmeasured warm-up runs that warm caches and start
+/// pool threads, so thread creation is not billed to the measured path.
+/// The median is the upper middle sample for an even count.
+pub fn median_ns(iters: usize, mut f: impl FnMut()) -> u64 {
+    for _ in 0..iters.div_ceil(10).max(3) {
+        f();
+    }
+    let mut samples: Vec<u64> = (0..iters)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            f();
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
 /// Parsed command-line options shared by all exhibit binaries.
 #[derive(Debug, Clone)]
 pub struct ExhibitOptions {

@@ -1,12 +1,13 @@
 //! Coordinator/worker message types and their JSON encoding.
 //!
-//! Messages travel one per `advcomp-wire` frame. Encoding is the crate's
-//! hand-rolled minijson (the vendored `serde` stub cannot deserialize);
-//! point records travel as an **escaped JSON string field** rather than a
-//! nested object so the coordinator journals the worker's exact bytes —
-//! the bit-identity contract needs the record to cross the wire untouched.
+//! Messages travel one per `advcomp-wire` frame and are read with
+//! [`advcomp_wire::json`], whose depth cap keeps a hostile frame from
+//! exhausting a handler thread's stack. Point records travel as an
+//! **escaped JSON string field** rather than a nested object so the
+//! coordinator journals the worker's exact bytes — the bit-identity
+//! contract needs the record to cross the wire untouched.
 
-use crate::minijson::{self as mini, quote};
+use advcomp_wire::json::{self, quote, Value};
 
 /// Messages a worker sends to the coordinator.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,16 +71,16 @@ pub enum CoordMsg {
     },
 }
 
-fn field_str(doc: &mini::Value, key: &str) -> Result<String, String> {
+fn field_str(doc: &Value, key: &str) -> Result<String, String> {
     doc.get(key)
-        .and_then(mini::Value::as_str)
+        .and_then(Value::as_str)
         .map(String::from)
         .ok_or_else(|| format!("missing/malformed string field '{key}'"))
 }
 
-fn field_u64(doc: &mini::Value, key: &str) -> Result<u64, String> {
+fn field_u64(doc: &Value, key: &str) -> Result<u64, String> {
     doc.get(key)
-        .and_then(mini::Value::as_u64)
+        .and_then(Value::as_u64)
         .ok_or_else(|| format!("missing/malformed integer field '{key}'"))
 }
 
@@ -116,7 +117,7 @@ impl WorkerMsg {
     /// A description of the malformation — the coordinator treats it as a
     /// protocol violation and drops the connection.
     pub fn from_json(text: &str) -> Result<WorkerMsg, String> {
-        let doc = mini::parse(text)?;
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
         match field_str(&doc, "type")?.as_str() {
             "hello" => Ok(WorkerMsg::Hello {
                 worker: field_str(&doc, "worker")?,
@@ -166,7 +167,7 @@ impl CoordMsg {
     /// A description of the malformation — the worker treats it as a fatal
     /// protocol error.
     pub fn from_json(text: &str) -> Result<CoordMsg, String> {
-        let doc = mini::parse(text)?;
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
         match field_str(&doc, "type")?.as_str() {
             "grant" => Ok(CoordMsg::Grant {
                 index: usize::try_from(field_u64(&doc, "index")?)
@@ -189,7 +190,7 @@ impl CoordMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{PointRecord, PointStatus};
+    use crate::journal::{EventRecord, PointRecord, PointStatus};
 
     #[test]
     fn worker_messages_round_trip() {
@@ -276,5 +277,40 @@ mod tests {
             assert!(CoordMsg::from_json(bad).is_err(), "{bad}");
             assert!(WorkerMsg::from_json(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_on_a_default_stack_thread() {
+        // 100,000 unclosed `[` overflow a 2 MiB thread stack in a parser
+        // without a depth cap, aborting the whole process.
+        std::thread::spawn(|| {
+            let evil = "[".repeat(100_000);
+            assert!(WorkerMsg::from_json(&evil).is_err());
+            assert!(CoordMsg::from_json(&evil).is_err());
+            assert!(PointRecord::from_json(&evil).is_err());
+            assert!(EventRecord::from_line(&evil).is_err());
+        })
+        .join()
+        .expect("decoders must return Err, not overflow the stack");
+    }
+
+    #[test]
+    fn frame_with_one_string_near_max_frame_parses_in_linear_time() {
+        // Plain ASCII, multi-byte UTF-8 and escapes, quoted to just under
+        // MAX_FRAME. A parser that re-validates the rest of the input per
+        // character needs hours for this; a linear one, well under a second.
+        let chunk = "plain text, é and \"quotes\"\n";
+        let quoted = quote(chunk).len() - 2;
+        let error = chunk.repeat((advcomp_wire::MAX_FRAME as usize - 64) / quoted);
+        let msg = WorkerMsg::Failed {
+            key: "k".into(),
+            error,
+        };
+        let frame = msg.to_json();
+        let max = advcomp_wire::MAX_FRAME as usize;
+        assert!((max - 1024..=max).contains(&frame.len()));
+        let t0 = std::time::Instant::now();
+        assert_eq!(WorkerMsg::from_json(&frame).unwrap(), msg);
+        assert!(t0.elapsed().as_secs() < 30, "took {:?}", t0.elapsed());
     }
 }

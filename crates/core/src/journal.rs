@@ -20,9 +20,9 @@
 //!   atomically renamed into place; a crash mid-write leaves at worst a
 //!   stale temp file, never a truncated entry that would poison resume.
 //!
-//! The workspace's `serde` is stubbed in offline containers (serialize
-//! only), so the reader is the crate's hand-rolled JSON parser
-//! ([`crate::minijson`]) specialised to keep numbers as raw tokens.
+//! Entries are read with the workspace's one JSON parser
+//! ([`advcomp_wire::json`]), which keeps numbers as raw tokens until they
+//! are decoded.
 //!
 //! Besides the per-point files, a run directory carries an append-only
 //! [`EventLog`] (`events.log`, one JSON object per line) used by the
@@ -32,9 +32,9 @@
 //! [`EventLog::open`] tolerates by design (skip + warn + truncate) rather
 //! than failing the whole resume.
 
-use crate::minijson::{self as mini, quote};
 use crate::scale::ExperimentScale;
 use crate::{CoreError, Result};
+use advcomp_wire::json::{self, quote, Value};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
@@ -150,7 +150,7 @@ impl PointRecord {
     /// writes this means real corruption, which should be surfaced (and the
     /// file deleted by hand) rather than silently recomputed.
     pub fn from_json(text: &str) -> Result<PointRecord> {
-        let doc = mini::parse(text).map_err(CoreError::Journal)?;
+        let doc = json::parse(text).map_err(|e| CoreError::Journal(e.to_string()))?;
         let field = |k: &str| {
             doc.get(k)
                 .ok_or_else(|| CoreError::Journal(format!("missing field '{k}'")))
@@ -190,7 +190,7 @@ impl PointRecord {
             .collect::<Option<Vec<_>>>()
             .ok_or_else(|| bad("health"))?;
         let error = match field("error")? {
-            mini::Value::Null => None,
+            Value::Null => None,
             v => Some(v.as_str().ok_or_else(|| bad("error"))?.to_string()),
         };
         Ok(PointRecord {
@@ -311,18 +311,24 @@ impl EventRecord {
         )
     }
 
-    fn from_line(line: &str) -> std::result::Result<EventRecord, String> {
-        let doc = mini::parse(line)?;
+    /// Decodes one `events.log` line (without its newline).
+    ///
+    /// # Errors
+    ///
+    /// A description of the malformation; [`EventLog::open`] treats it as
+    /// a torn line.
+    pub fn from_line(line: &str) -> std::result::Result<EventRecord, String> {
+        let doc = json::parse(line).map_err(|e| e.to_string())?;
         let s = |k: &str| {
             doc.get(k)
-                .and_then(mini::Value::as_str)
+                .and_then(Value::as_str)
                 .map(String::from)
                 .ok_or_else(|| format!("missing/malformed field '{k}'"))
         };
         Ok(EventRecord {
             seq: doc
                 .get("seq")
-                .and_then(mini::Value::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or("missing/malformed field 'seq'")?,
             kind: s("kind")?,
             key: s("key")?,

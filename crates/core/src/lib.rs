@@ -19,6 +19,11 @@
 //! Figure 6, and [`report`] the CSV/Markdown outputs. [`ExperimentScale`]
 //! scales every experiment between a CPU-friendly `quick` profile and the
 //! full `paper` profile.
+//!
+//! The sweep [`journal`], its event log and the [`dist`] coordinator/worker
+//! messages are JSON read with `advcomp_wire::json`, the workspace's one
+//! depth-capped parser: a torn journal file or a hostile frame yields a
+//! typed error, never a panic.
 
 pub mod advtrain;
 pub mod blackbox;
@@ -27,7 +32,6 @@ mod compression;
 pub mod dist;
 mod error;
 pub mod journal;
-mod minijson;
 pub mod plot;
 pub mod report;
 pub mod resilience;

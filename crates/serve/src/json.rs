@@ -1,17 +1,15 @@
-//! Minimal JSON value model, parser and writer for the wire protocol.
+//! JSON value model and writer for responses and metrics snapshots.
 //!
-//! The build container carries only a serialisation-side `serde_json` stub,
-//! so request *parsing* is implemented here: a strict recursive-descent
-//! parser over the small JSON subset the protocol uses (objects, arrays,
-//! strings, f64 numbers, booleans, null). Depth and size limits guard
-//! against adversarial frames — this parser sits directly on the network
-//! boundary.
+//! Reading goes through the workspace's one parser
+//! ([`advcomp_wire::json`], strict and depth-capped, since it sits
+//! directly on the network boundary); [`Json::parse`] converts its result
+//! into this owned, f64-numbered model for clients that inspect responses.
+//! [`Request::parse`](crate::protocol::Request::parse) skips the conversion and
+//! decodes the parser's value directly.
 
+use advcomp_wire::json::{self as wire, write_escaped, Value};
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Maximum nesting depth accepted by the parser.
-const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,32 +71,42 @@ impl Json {
         }
     }
 
-    /// The value as a slice of elements, if an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Parses a JSON document from UTF-8 bytes (must consume all input).
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first syntax error.
+    /// Returns a human-readable description of the first syntax error, or
+    /// of a number that overflows f64.
     pub fn parse(bytes: &[u8]) -> Result<Json, String> {
-        let text = std::str::from_utf8(bytes).map_err(|_| "frame is not utf-8".to_string())?;
-        let mut p = Parser {
-            chars: text.char_indices().peekable(),
-            text,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if let Some((i, _)) = p.chars.peek() {
-            return Err(format!("trailing bytes at offset {i}"));
-        }
-        Ok(value)
+        let value = wire::parse_utf8(bytes).map_err(|e| e.to_string())?;
+        Json::from_value(value)
+    }
+
+    /// Converts a parsed value; duplicate keys keep the last value, as
+    /// [`Value::get`] does.
+    fn from_value(value: Value<'_>) -> Result<Json, String> {
+        Ok(match value {
+            Value::Null => Json::Null,
+            Value::Bool(b) => Json::Bool(b),
+            Value::Num(tok) => Json::Num(
+                value
+                    .as_f64()
+                    .ok_or_else(|| format!("non-finite number '{tok}'"))?,
+            ),
+            Value::Str(s) => Json::Str(s),
+            Value::Arr(items) => Json::Arr(
+                items
+                    .into_iter()
+                    .map(Json::from_value)
+                    .collect::<Result<_, _>>()?,
+            ),
+            Value::Obj(pairs) => Json::Obj(
+                pairs
+                    .into_iter()
+                    .map(|(k, v)| Ok((k, Json::from_value(v)?)))
+                    .collect::<Result<_, String>>()?,
+            ),
+        })
     }
 }
 
@@ -166,247 +174,32 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    write!(f, "\"")
-}
-
-struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-    text: &'a str,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some((_, c)) = self.chars.peek() {
-            if c.is_ascii_whitespace() {
-                self.chars.next();
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        match self.chars.next() {
-            Some((_, c)) if c == want => Ok(()),
-            Some((i, c)) => Err(format!("expected '{want}' at offset {i}, found '{c}'")),
-            None => Err(format!("expected '{want}', found end of input")),
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH}"));
-        }
-        self.skip_ws();
-        match self.chars.peek().copied() {
-            Some((_, '{')) => self.object(depth),
-            Some((_, '[')) => self.array(depth),
-            Some((_, '"')) => Ok(Json::Str(self.string()?)),
-            Some((_, 't')) => self.keyword("true", Json::Bool(true)),
-            Some((_, 'f')) => self.keyword("false", Json::Bool(false)),
-            Some((_, 'n')) => self.keyword("null", Json::Null),
-            Some((_, c)) if c == '-' || c.is_ascii_digit() => self.number(),
-            Some((i, c)) => Err(format!("unexpected '{c}' at offset {i}")),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        for want in word.chars() {
-            match self.chars.next() {
-                Some((_, c)) if c == want => {}
-                _ => return Err(format!("invalid literal (expected '{word}')")),
-            }
-        }
-        Ok(value)
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = match self.chars.peek() {
-            Some((i, _)) => *i,
-            None => return Err("unexpected end of input in number".into()),
-        };
-        let mut end = start;
-        while let Some((i, c)) = self.chars.peek().copied() {
-            if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                end = i + c.len_utf8();
-                self.chars.next();
-            } else {
-                break;
-            }
-        }
-        let slice = &self.text[start..end];
-        let n: f64 = slice
-            .parse()
-            .map_err(|_| format!("invalid number '{slice}'"))?;
-        if !n.is_finite() {
-            return Err(format!("non-finite number '{slice}'"));
-        }
-        Ok(Json::Num(n))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next() {
-                None => return Err("unterminated string".into()),
-                Some((_, '"')) => return Ok(out),
-                Some((_, '\\')) => match self.chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 'b')) => out.push('\u{8}'),
-                    Some((_, 'f')) => out.push('\u{c}'),
-                    Some((_, 'u')) => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .chars
-                                .next()
-                                .and_then(|(_, c)| c.to_digit(16))
-                                .ok_or("bad \\u escape")?;
-                            code = code * 16 + d;
-                        }
-                        // Surrogates are replaced rather than rejected; the
-                        // protocol never ships them in practice.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    Some((i, c)) => return Err(format!("bad escape '\\{c}' at offset {i}")),
-                    None => return Err("unterminated escape".into()),
-                },
-                Some((i, c)) if (c as u32) < 0x20 => {
-                    return Err(format!("raw control character at offset {i}"))
-                }
-                Some((_, c)) => out.push(c),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect('[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if let Some((_, ']')) = self.chars.peek() {
-            self.chars.next();
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.chars.next() {
-                Some((_, ',')) => continue,
-                Some((_, ']')) => return Ok(Json::Arr(items)),
-                Some((i, c)) => return Err(format!("expected ',' or ']' at {i}, found '{c}'")),
-                None => return Err("unterminated array".into()),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect('{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if let Some((_, '}')) = self.chars.peek() {
-            self.chars.next();
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(':')?;
-            let value = self.value(depth + 1)?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.chars.next() {
-                Some((_, ',')) => continue,
-                Some((_, '}')) => return Ok(Json::Obj(map)),
-                Some((i, c)) => return Err(format!("expected ',' or '}}' at {i}, found '{c}'")),
-                None => return Err("unterminated object".into()),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_request_shape() {
-        let text = br#"{"id": 3, "input": [0.5, -1.25e-2, 3], "probs": true}"#;
-        let v = Json::parse(text).unwrap();
-        assert_eq!(v.get("id").unwrap().as_u64(), Some(3));
-        let input = v.get("input").unwrap().as_array().unwrap();
-        assert_eq!(input.len(), 3);
-        assert_eq!(input[1].as_f64(), Some(-0.0125));
-        assert_eq!(v.get("probs").unwrap().as_bool(), Some(true));
-        // Serialise and reparse: stable.
-        let text2 = v.to_string();
-        assert_eq!(Json::parse(text2.as_bytes()).unwrap(), v);
-    }
-
-    #[test]
-    fn scalars() {
-        assert_eq!(Json::parse(b"null").unwrap(), Json::Null);
-        assert_eq!(Json::parse(b"true").unwrap(), Json::Bool(true));
-        assert_eq!(Json::parse(b"-4.5").unwrap(), Json::Num(-4.5));
-        assert_eq!(
-            Json::parse(br#""a\"b\nA""#).unwrap(),
-            Json::Str("a\"b\nA".into())
-        );
-    }
-
-    #[test]
-    fn rejects_malformed() {
-        for bad in [
-            &b"{"[..],
-            b"[1,]",
-            b"{\"a\":}",
-            b"nul",
-            b"1 2",
-            b"\"unterminated",
-            b"{\"a\" 1}",
-            b"[1e999]",  // overflows to inf
-            b"\xff\xfe", // not utf-8
-        ] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
-        }
-    }
-
-    #[test]
-    fn rejects_deep_nesting() {
-        let mut evil = vec![b'['; 200];
-        evil.extend(vec![b']'; 200]);
-        assert!(Json::parse(&evil).is_err());
-    }
-
-    #[test]
-    fn builder_and_display() {
+    fn builder_display_and_parse_round_trip() {
         let v = JsonObj::new()
-            .set("status", Json::Str("ok".into()))
+            .set("status", Json::Str("o\"k\n".into()))
             .set("id", Json::Num(7.0))
-            .set("suspect", Json::Num(0.25))
+            .set(
+                "x",
+                Json::Arr(vec![Json::Num(0.25), Json::Null, Json::Bool(true)]),
+            )
             .build();
         let s = v.to_string();
-        assert_eq!(s, r#"{"id":7,"status":"ok","suspect":0.25}"#);
+        assert_eq!(s, r#"{"id":7,"status":"o\"k\n","x":[0.25,null,true]}"#);
+        assert_eq!(Json::parse(s.as_bytes()).unwrap(), v);
+    }
+
+    #[test]
+    fn parse_rejects_what_the_model_cannot_hold() {
+        // The shared parser accepts 1e999 as a token; f64 cannot hold it.
+        assert!(Json::parse(b"[1e999]").is_err());
+        // Duplicate keys: the last wins, as in the shared parser's `get`.
+        let v = Json::parse(br#"{"a": 1, "a": 2}"#).unwrap();
+        assert_eq!(v.get("a").and_then(Json::as_u64), Some(2));
     }
 
     #[test]

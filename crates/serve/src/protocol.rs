@@ -1,17 +1,4 @@
-//! Wire protocol: length-prefixed JSON frames over TCP.
-//!
-//! Every message — request or response — is one *frame*:
-//!
-//! ```text
-//! +----------------+---------------------+
-//! | u32 LE length  |  UTF-8 JSON payload |
-//! +----------------+---------------------+
-//! ```
-//!
-//! The length counts payload bytes only and is capped at
-//! [`MAX_FRAME`]; a peer announcing a larger frame is rejected before any
-//! payload is read, so an adversarial header cannot make the server
-//! allocate unbounded memory.
+//! Wire protocol: one JSON message per `advcomp-wire` frame over TCP.
 //!
 //! # Requests
 //!
@@ -32,6 +19,7 @@
 
 use crate::json::{Json, JsonObj};
 use crate::{Prediction, ServeError};
+use advcomp_wire::json::{self, Value};
 
 // The framing itself (u32 LE length + payload, 16 MiB cap) lives in the
 // shared `advcomp-wire` crate so the sweep coordinator/worker protocol in
@@ -88,45 +76,46 @@ impl Request {
     ///
     /// [`ServeError::BadRequest`] on malformed JSON or an invalid shape.
     pub fn parse(payload: &[u8]) -> Result<Request, ServeError> {
-        let json =
-            Json::parse(payload).map_err(|e| ServeError::BadRequest(format!("bad JSON: {e}")))?;
-        let id = json
+        let doc = json::parse_utf8(payload)
+            .map_err(|e| ServeError::BadRequest(format!("bad JSON: {e}")))?;
+        let id = doc
             .get("id")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| ServeError::BadRequest("missing string field 'id'".into()))?
             .to_string();
-        if let Some(cmd) = json.get("cmd") {
+        if let Some(cmd) = doc.get("cmd") {
             let cmd = match cmd.as_str() {
                 Some("ping") => Command::Ping,
                 Some("metrics") => Command::Metrics,
                 Some("shutdown") => Command::Shutdown,
-                _ => {
+                name => {
                     return Err(ServeError::BadRequest(format!(
-                        "unknown cmd {cmd}, expected ping|metrics|shutdown"
+                        "unknown cmd {}, expected ping|metrics|shutdown",
+                        name.map_or_else(|| "(not a string)".into(), json::quote)
                     )))
                 }
             };
             return Ok(Request::Control { id, cmd });
         }
-        let input = json
+        let tokens = doc
             .get("input")
-            .and_then(Json::as_array)
+            .and_then(Value::as_arr)
             .ok_or_else(|| ServeError::BadRequest("missing array field 'input'".into()))?;
-        let mut values = Vec::with_capacity(input.len());
-        for v in input {
-            let n = v
-                .as_f64()
-                .ok_or_else(|| ServeError::BadRequest("'input' must hold numbers".into()))?;
-            values.push(n as f32);
+        let mut input = Vec::with_capacity(tokens.len());
+        for v in tokens {
+            let x = v
+                .as_f32()
+                .ok_or_else(|| ServeError::BadRequest("'input' must hold f32 numbers".into()))?;
+            input.push(x);
         }
-        let probs = json.get("probs").and_then(Json::as_bool).unwrap_or(false);
-        let attack = json
+        let probs = doc.get("probs").and_then(Value::as_bool).unwrap_or(false);
+        let attack = doc
             .get("attack")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .map(str::to_string);
         Ok(Request::Predict {
             id,
-            input: values,
+            input,
             probs,
             attack,
         })

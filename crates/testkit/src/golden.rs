@@ -14,8 +14,9 @@
 //!   -p advcomp-testkit --test goldens` rewrites the files; the `git diff`
 //!   is then reviewed like any other source change.
 
-use crate::json::{self, Json};
+use crate::json::Json;
 use advcomp_tensor::Tensor;
+use advcomp_wire::json::{self, JsonError, Value};
 use std::path::PathBuf;
 
 /// Environment variable that switches conformance tests into regeneration
@@ -30,7 +31,7 @@ pub enum GoldenError {
     /// Filesystem error reading or writing the file.
     Io(PathBuf, std::io::Error),
     /// The stored file is not valid golden JSON.
-    Parse(PathBuf, json::JsonError),
+    Parse(PathBuf, JsonError),
     /// Stored and computed values disagree; the string pinpoints where.
     Mismatch {
         /// Offending golden file.
@@ -81,20 +82,6 @@ pub fn regen_requested() -> bool {
     std::env::var(REGEN_ENV).map(|v| v == "1").unwrap_or(false)
 }
 
-/// Loads and parses the golden file for `name`.
-///
-/// # Errors
-///
-/// [`GoldenError::Missing`], [`GoldenError::Io`] or [`GoldenError::Parse`].
-pub fn load(name: &str) -> Result<Json, GoldenError> {
-    let path = golden_path(name);
-    if !path.exists() {
-        return Err(GoldenError::Missing(path));
-    }
-    let text = std::fs::read_to_string(&path).map_err(|e| GoldenError::Io(path.clone(), e))?;
-    json::parse(&text).map_err(|e| GoldenError::Parse(path, e))
-}
-
 /// Writes `value` as the golden file for `name`, creating the directory if
 /// needed.
 ///
@@ -120,30 +107,32 @@ pub fn check_or_regen(name: &str, computed: &Json) -> Result<(), GoldenError> {
     if regen_requested() {
         return save(name, computed);
     }
-    let stored = load(name)?;
-    compare_json(&stored, computed, "$").map_err(|detail| GoldenError::Mismatch {
-        path: golden_path(name),
-        detail,
-    })
+    let path = golden_path(name);
+    if !path.exists() {
+        return Err(GoldenError::Missing(path));
+    }
+    let text = std::fs::read_to_string(&path).map_err(|e| GoldenError::Io(path.clone(), e))?;
+    let stored = json::parse(&text).map_err(|e| GoldenError::Parse(path.clone(), e))?;
+    compare_json(&stored, computed, "$").map_err(|detail| GoldenError::Mismatch { path, detail })
 }
 
-/// Structural bit-exact comparison, reporting the JSON path of the first
-/// difference. Numbers compare by parsed `f32` bit pattern (so `1` vs
-/// `1.0` in a hand-edited file still matches), everything else compares
-/// structurally.
-pub fn compare_json(expected: &Json, actual: &Json, path: &str) -> Result<(), String> {
+/// Structural bit-exact comparison of a parsed golden against a computed
+/// document, reporting the JSON path of the first difference. Numbers
+/// compare by parsed `f32` bit pattern (so `1` vs `1.0` in a hand-edited
+/// file still matches), everything else compares structurally.
+pub fn compare_json(expected: &Value<'_>, actual: &Json, path: &str) -> Result<(), String> {
     match (expected, actual) {
-        (Json::Num(e), Json::Num(a)) => {
+        (Value::Num(e), Json::Num(a)) => {
             let (pe, pa) = (e.parse::<f32>(), a.parse::<f32>());
             match (pe, pa) {
                 (Ok(ve), Ok(va)) if ve.to_bits() == va.to_bits() => Ok(()),
                 _ => Err(format!("{path}: expected {e}, got {a}")),
             }
         }
-        (Json::Str(e), Json::Str(a)) if e == a => Ok(()),
-        (Json::Bool(e), Json::Bool(a)) if e == a => Ok(()),
-        (Json::Null, Json::Null) => Ok(()),
-        (Json::Arr(e), Json::Arr(a)) => {
+        (Value::Str(e), Json::Str(a)) if e == a => Ok(()),
+        (Value::Bool(e), Json::Bool(a)) if e == a => Ok(()),
+        (Value::Null, Json::Null) => Ok(()),
+        (Value::Arr(e), Json::Arr(a)) => {
             if e.len() != a.len() {
                 return Err(format!(
                     "{path}: array length expected {}, got {}",
@@ -156,7 +145,7 @@ pub fn compare_json(expected: &Json, actual: &Json, path: &str) -> Result<(), St
             }
             Ok(())
         }
-        (Json::Obj(e), Json::Obj(a)) => {
+        (Value::Obj(e), Json::Obj(a)) => {
             if e.len() != a.len() {
                 return Err(format!(
                     "{path}: object size expected {}, got {}",
@@ -186,10 +175,17 @@ pub fn tensor_json(t: &Tensor) -> Json {
     ])
 }
 
-/// Decodes a tensor golden object back into `(shape, data)`.
-pub fn tensor_from_json(v: &Json) -> Option<(Vec<usize>, Vec<f32>)> {
-    let shape = v.get("shape")?.as_usize_vec()?;
-    let data = v.get("data")?.as_f32_vec()?;
+/// Decodes a parsed tensor golden object back into `(shape, data)`.
+pub fn tensor_from_json(v: &Value<'_>) -> Option<(Vec<usize>, Vec<f32>)> {
+    let items = |key| v.get(key)?.as_arr();
+    let shape = items("shape")?
+        .iter()
+        .map(Value::as_usize)
+        .collect::<Option<_>>()?;
+    let data = items("data")?
+        .iter()
+        .map(Value::as_f32)
+        .collect::<Option<_>>()?;
     Some((shape, data))
 }
 
@@ -200,15 +196,15 @@ mod tests {
     #[test]
     fn tensor_json_round_trip() {
         let t = Tensor::new(&[2, 2], vec![1.0, -2.5, 0.125, 3.0e7]).unwrap();
-        let j = tensor_json(&t);
-        let (shape, data) = tensor_from_json(&j).unwrap();
+        let text = tensor_json(&t).to_pretty_string();
+        let (shape, data) = tensor_from_json(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(shape, vec![2, 2]);
         assert_eq!(data, t.data());
     }
 
     #[test]
     fn compare_pinpoints_divergence() {
-        let a = Json::Obj(vec![("x".into(), Json::f32_array(&[1.0, 2.0]))]);
+        let a = json::parse(r#"{"x": [1.0, 2.0]}"#).unwrap();
         let b = Json::Obj(vec![(
             "x".into(),
             Json::f32_array(&[1.0, f32::from_bits(2.0f32.to_bits() + 1)]),
@@ -220,7 +216,7 @@ mod tests {
     #[test]
     fn compare_accepts_equivalent_number_forms() {
         // A hand-edited integer token still matches its float form.
-        let a = Json::Num("1".into());
+        let a = Value::Num("1");
         let b = Json::Num("1.0".into());
         assert!(compare_json(&a, &b, "$").is_ok());
     }

@@ -14,17 +14,21 @@
 //!   worker death is absorbed by lease expiry + re-dispatch, a dropped
 //!   result delivery is re-dispatched, a grant failure is retried.
 //!
-//! Every test holds a `FaultGuard` for its entire duration (the fault
-//! registry is process-global), which also serialises these tests against
-//! each other under the parallel test runner.
+//! Each fault test holds its `FaultGuard` for its whole run; installed
+//! faults reach only the threads of that test's scope, so the tests run
+//! in parallel.
 
 use advcomp_attacks::{AttackKind, NetKind};
-use advcomp_core::dist::{run_local, DistRunConfig};
+use advcomp_core::dist::{run_local, run_worker, Coordinator, DistRunConfig, WorkerOptions};
 use advcomp_core::resilience::RetryPolicy;
 use advcomp_core::sweep::{MatrixRun, RunConfig, TransferMatrix};
 use advcomp_core::ExperimentScale;
 use advcomp_nn::faults::{install, FaultKind, FaultSpec};
+use std::io::Read;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Duration;
 
 fn serial_tiny() -> ExperimentScale {
     let mut scale = ExperimentScale::tiny();
@@ -208,5 +212,57 @@ fn dropped_result_delivery_is_redispatched_and_converges() {
     assert!(dist.run.failed.is_empty(), "{:?}", dist.run.failed);
     assert_eq!(dist.report.divergent, 0);
     assert_eq!(journal_file_count(&run_dir), 2);
+    let _ = std::fs::remove_dir_all(&run_dir);
+}
+
+#[test]
+fn hostile_deep_frame_drops_only_its_connection() {
+    // A raw peer sends one frame of 100,000 unclosed `[`. Its handler
+    // thread must answer with a parse error and close that connection; a
+    // parser without a depth cap overflows the thread's stack instead and
+    // aborts the coordinator process. The real workers finish the sweep.
+    let matrix = two_point_matrix();
+    let reference = single_process(&matrix);
+    let run_dir = temp_run_dir("deep");
+    let mut cfg = dist_cfg(&run_dir);
+    // No solo fallback: the two workers must compute both points.
+    cfg.dist.solo_grace_ms = 60_000;
+    let prepared = Arc::new(matrix.prepare(&serial_tiny(), cfg.seed).unwrap());
+    let coordinator = Coordinator::bind(&cfg.listen, Arc::clone(&prepared), &cfg).unwrap();
+    let addr = coordinator.addr().to_string();
+
+    let mut peer = TcpStream::connect(&addr).unwrap();
+    advcomp_wire::write_frame(&mut peer, "[".repeat(100_000).as_bytes()).unwrap();
+    let workers: Vec<_> = (0..2)
+        .map(|w| {
+            let prepared = Arc::clone(&prepared);
+            let addr = addr.clone();
+            let opts = WorkerOptions {
+                id: format!("w{w}"),
+                heartbeat_ms: cfg.dist.heartbeat_ms,
+                ..WorkerOptions::default()
+            };
+            std::thread::spawn(move || run_worker(&addr, &prepared, &opts))
+        })
+        .collect();
+    let dist = coordinator.run().unwrap();
+    for w in workers {
+        w.join().unwrap().unwrap();
+    }
+
+    peer.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    match peer.read(&mut [0u8; 64]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("hostile connection must be closed without a reply, got {other:?}"),
+    }
+    assert_eq!(dist.report.computed_remote, 2, "{:?}", dist.report);
+    assert_eq!(dist.report.workers_lost, 0, "{:?}", dist.report);
+    assert_eq!(
+        serde_json::to_string(&dist.run.results).unwrap(),
+        serde_json::to_string(&reference.results).unwrap(),
+        "curves must be byte-equal to the single-process run"
+    );
     let _ = std::fs::remove_dir_all(&run_dir);
 }

@@ -170,6 +170,8 @@ fn one_ulp_weight_drift_is_detected() {
         ("logits".into(), tensor_json(&logits)),
     ]);
 
+    let clean = clean.to_pretty_string();
+    let clean = advcomp_wire::json::parse(&clean).unwrap();
     let err = golden::compare_json(&clean, &drifted, "$")
         .expect_err("1-ulp weight drift must fail bit-exact conformance");
     assert!(

@@ -1,5 +1,6 @@
-//! Length-prefixed frame transport shared by `advcomp-serve` and the
-//! distributed-sweep layer in `advcomp-core`.
+//! Length-prefixed frame transport and the one JSON codec ([`json`]),
+//! shared by `advcomp-serve`, the distributed-sweep layer and journal in
+//! `advcomp-core`, and the golden vectors in `advcomp-testkit`.
 //!
 //! Every message — request or response, lease grant or heartbeat — is one
 //! *frame*:
@@ -17,6 +18,8 @@
 //! framing — one implementation, so the two protocols cannot drift apart.
 
 #![warn(missing_docs)]
+
+pub mod json;
 
 use std::io::{Read, Write};
 

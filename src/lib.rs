@@ -24,6 +24,8 @@
 //!   (universal perturbations included).
 //! * [`serve`] — batched TCP inference serving with a compression-ensemble
 //!   adversarial guard built on the paper's transfer observations.
+//! * [`wire`] — the length-prefixed frame transport and the one JSON
+//!   parser every protocol, journal and golden file is read with.
 //!
 //! # Quickstart
 //!
@@ -51,3 +53,4 @@ pub use advcomp_qformat as qformat;
 pub use advcomp_serve as serve;
 pub use advcomp_sparse as sparse;
 pub use advcomp_tensor as tensor;
+pub use advcomp_wire as wire;
